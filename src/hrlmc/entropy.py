@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import wrightomega
 
 from .errors import (
-    ConvergenceFailure,
     DomainViolation,
     DualDomainViolation,
     InvalidParameters,
@@ -30,9 +30,6 @@ from .errors import (
 # Points closer than this to the domain boundary are rejected: Hessians blow
 # up there and every domain is open.
 BOUNDARY_GUARD = 1e-12
-
-_NEWTON_TOL = 1e-12
-_NEWTON_MAXITER = 100
 
 
 class Entropy:
@@ -287,8 +284,13 @@ class MixedEntropy(Entropy):
     """Per-coordinate blend a_i * x log x - (1 - a_i) * log x on R_++^p.
 
     Requires every weight in [0, 1).  Coordinates with a_i = 0 reduce to Burg
-    and invert in closed form; the rest invert by safeguarded Newton on the
-    strictly increasing scalar map a*(log x + 1) - (1-a)/x.
+    and invert as -1/y; the rest invert y = a*(log x + 1) - (1-a)/x in closed
+    form through the Wright omega function (the solution w of w + log w = z):
+
+        1/x = a/(1-a) * omega(log((1-a)/a) + (a-y)/a).
+
+    The argument stays in the log domain, so no coordinate overflows, and the
+    map is elementwise, so a row's value never depends on its batch.
     """
 
     def __init__(self, weights):
@@ -340,15 +342,14 @@ class MixedEntropy(Entropy):
         a = np.broadcast_to(self.weights, y.shape)
         x = np.empty_like(y)
         burg = a == 0.0
-        if np.any(burg):
-            x[burg] = -1.0 / y[burg]
+        x[burg] = -1.0 / y[burg]
         todo = ~burg
-        if np.any(todo):
-            x[todo] = _invert_increasing(
-                lambda t, aa=a[todo]: aa * (np.log(t) + 1.0) - (1.0 - aa) / t,
-                lambda t, aa=a[todo]: aa / t + (1.0 - aa) / (t * t),
-                y[todo],
-            )
+        aa = a[todo]
+        # Dual points far outside the sampled range overflow to x = 0 or inf,
+        # which the domain check then rejects like any other bad proposal.
+        with np.errstate(divide="ignore", over="ignore"):
+            omega = wrightomega(np.log((1.0 - aa) / aa) + (aa - y[todo]) / aa)
+            x[todo] = (1.0 - aa) / (aa * omega)
         return x
 
 
@@ -450,59 +451,6 @@ class ScaledEntropy(Entropy):
 
 def _log_uniform(rng, shape, lo, hi):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size=shape))
-
-
-def _invert_increasing(g, gprime, y):
-    """Solve g(x) = y coordinate-wise for a strictly increasing g on (0, inf).
-
-    Safeguarded Newton: keep a sign-changing bracket, bisect whenever the
-    Newton step leaves it.  Tolerance 1e-12 relative with one polishing step,
-    at most 100 iterations.
-    """
-    y = np.asarray(y, dtype=float)
-    lo = np.full(y.shape, 1.0)
-    hi = np.full(y.shape, 1.0)
-
-    for _ in range(2400):
-        mask = g(lo) - y > 0.0
-        if not np.any(mask):
-            break
-        lo[mask] *= 0.125
-        if np.any(lo < 1e-280):
-            raise ConvergenceFailure("bracket expansion hit the lower limit")
-    else:
-        raise ConvergenceFailure("could not bracket the mirror inverse (low side)")
-
-    for _ in range(2400):
-        mask = g(hi) - y < 0.0
-        if not np.any(mask):
-            break
-        hi[mask] *= 8.0
-        if np.any(hi > 1e280):
-            raise ConvergenceFailure("bracket expansion hit the upper limit")
-    else:
-        raise ConvergenceFailure("could not bracket the mirror inverse (high side)")
-
-    x = np.sqrt(lo * hi)
-    done = np.zeros(y.shape, dtype=bool)
-    for _ in range(_NEWTON_MAXITER):
-        gx = g(x) - y
-        above = gx > 0.0
-        hi = np.where(above, x, hi)
-        lo = np.where(above, lo, x)
-        step = gx / gprime(x)
-        x_new = x - step
-        bad = ~np.isfinite(x_new) | (x_new <= lo) | (x_new >= hi)
-        x_new = np.where(bad, 0.5 * (lo + hi), x_new)
-        small = np.abs(x_new - x) <= _NEWTON_TOL * np.maximum(1.0, np.abs(x_new))
-        newly_done = small & ~done
-        done = done | small
-        x = x_new
-        if np.all(done) and not np.any(newly_done):
-            break
-    if not np.all(done):
-        raise ConvergenceFailure("mirror inversion did not reach tolerance")
-    return x
 
 
 def euclidean(dim: int) -> EuclideanEntropy:

@@ -12,12 +12,20 @@ finite-sample floor of the estimator, which grows with dimension and would
 otherwise masquerade as sampler bias.  The debiased plateau is
 sqrt(max(median d^2(chain, exact) - median d^2(exact, exact'), 0)).
 
+Distance tasks, one per (checkpoint, reference seed) pair, are independent
+and pure.  When they solve assignments they run in forked worker processes,
+up to one per usable CPU; each result returns to its own slot, so the output
+does not depend on the number of workers.
+
 Every experiment is a pure function of its config; re-running writes
 byte-identical CSV output (floats serialized with 17 significant digits).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -121,6 +129,45 @@ def _reference_cloud(target, n, base_seed, tag, k, rep):
     return target.sample_exact(rng, n)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+_worker_task = None  # set in each forked worker to the task of its pool
+
+
+def _install_task(task):
+    global _worker_task
+    _worker_task = task
+
+
+def _run_installed(i):
+    return _worker_task(i)
+
+
+def _map_distance_tasks(task, n_tasks, method):
+    """``[task(i) for i in range(n_tasks)]``, over worker processes when the
+    tasks solve assignments.
+
+    Only assignment solves cost enough to pay for the workers; exact-1d and
+    sliced tasks run in this process.  Workers are forked so they inherit
+    ``task`` (its clouds and targets do not pickle) and the imported numpy
+    and scipy; only task indices and results cross the process boundary.  An
+    exception raised in a worker is re-raised here with its own type, and a
+    worker that dies raises ``BrokenProcessPool`` instead of hanging.
+    """
+    workers = min(_usable_cpus(), n_tasks)
+    if (method != "assignment" or workers < 2
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return [task(i) for i in range(n_tasks)]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_install_task, initargs=(task,)) as pool:
+        return list(pool.map(_run_installed, range(n_tasks)))
+
+
 def _checkpoint_clouds(trajectories, checkpoints):
     steps = trajectories[0].steps
     index = {int(k): i for i, k in enumerate(steps)}
@@ -187,15 +234,19 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
     )
     clouds = _checkpoint_clouds(trajectories, config.checkpoints)
 
-    distances = {}
-    for k, cloud in clouds.items():
-        vals = np.empty(config.reference_seeds)
-        for rep in range(config.reference_seeds):
-            ref = _reference_cloud(target, config.chains, config.base_seed, 7733, k, rep)
-            vals[rep] = metrics.w2phi(
-                entropy, cloud, ref, method=config.distance_method
-            ).value
-        distances[k] = vals
+    reps = config.reference_seeds
+    tasks = [(k, rep) for k in clouds for rep in range(reps)]
+
+    def distance(i):
+        k, rep = tasks[i]
+        ref = _reference_cloud(target, config.chains, config.base_seed, 7733, k, rep)
+        return metrics.w2phi(entropy, clouds[k], ref, method=config.distance_method).value
+
+    method = metrics.resolve_method(
+        config.distance_method, config.chains, config.chains, target.dim
+    )
+    values = _map_distance_tasks(distance, len(tasks), method)
+    distances = {k: np.array(values[j * reps:(j + 1) * reps]) for j, k in enumerate(clouds)}
 
     ks = np.asarray(sorted(clouds), dtype=int)
     medians = np.array([np.median(distances[k]) for k in ks])
@@ -281,6 +332,7 @@ def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
     if not plateau_ks:
         raise InvalidParameters("sweep needs checkpoints for the plateau window")
 
+    reps = config.reference_seeds
     plateaus = np.empty(len(dims))
     raws = np.empty(len(dims))
     bases = np.empty(len(dims))
@@ -294,24 +346,29 @@ def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
             config.base_seed + 101 * p, config.chains,
         )
         clouds = _checkpoint_clouds(trajectories, plateau_ks)
+        tasks = [(k, rep) for k in plateau_ks for rep in range(reps)]
+
+        def squared_distances(i):
+            k, rep = tasks[i]
+            ref = _reference_cloud(target, config.chains, config.base_seed, 7741 + p, k, rep)
+            d = metrics.w2phi(entropy, clouds[k], ref, method=config.distance_method)
+            ref_b = _reference_cloud(target, config.chains, config.base_seed, 8641 + p, k, rep)
+            ref_c = _reference_cloud(target, config.chains, config.base_seed, 8647 + p, k, rep)
+            d0 = metrics.w2phi(entropy, ref_b, ref_c, method=config.distance_method)
+            return d.value**2, d0.value**2
+
+        method = metrics.resolve_method(config.distance_method, config.chains,
+                                        config.chains, p)
+        sq = _map_distance_tasks(squared_distances, len(tasks), method)
         # Median of per-checkpoint medians: a chain ensemble occasionally
         # carries a deep-tail excursion that inflates every distance sharing
         # that snapshot, so checkpoints form contamination blocks.
         chain_sq = []
         base_sq = []
-        for k in plateau_ks:
-            chain_k = np.empty(config.reference_seeds)
-            base_k = np.empty(config.reference_seeds)
-            for rep in range(config.reference_seeds):
-                ref = _reference_cloud(target, config.chains, config.base_seed, 7741 + p, k, rep)
-                d = metrics.w2phi(entropy, clouds[k], ref, method=config.distance_method)
-                chain_k[rep] = d.value**2
-                ref_b = _reference_cloud(target, config.chains, config.base_seed, 8641 + p, k, rep)
-                ref_c = _reference_cloud(target, config.chains, config.base_seed, 8647 + p, k, rep)
-                d0 = metrics.w2phi(entropy, ref_b, ref_c, method=config.distance_method)
-                base_k[rep] = d0.value**2
-            chain_sq.append(float(np.median(chain_k)))
-            base_sq.append(float(np.median(base_k)))
+        for j in range(len(plateau_ks)):
+            block = np.array(sq[j * reps:(j + 1) * reps])
+            chain_sq.append(float(np.median(block[:, 0])))
+            base_sq.append(float(np.median(block[:, 1])))
         raw = float(np.median(chain_sq))
         base = float(np.median(base_sq))
         plateaus[i] = np.sqrt(max(raw - base, 0.0))

@@ -76,13 +76,7 @@ def w2phi(entropy, mu, nu, method: str = "auto", n_projections: int = DEFAULT_PR
     """Mirror 2-Wasserstein distance between two empirical measures."""
     a = mirror_embed(entropy, mu)
     b = mirror_embed(entropy, nu)
-    if method == "auto":
-        if a.shape[1] == 1:
-            method = "exact-1d"
-        elif a.shape[0] == b.shape[0] and a.shape[0] <= AUTO_ASSIGNMENT_MAX:
-            method = "assignment"
-        else:
-            method = "sliced"
+    method = resolve_method(method, a.shape[0], b.shape[0], a.shape[1])
     if method == "exact-1d":
         return _w2_exact_1d(a, b)
     if method == "assignment":
@@ -90,6 +84,17 @@ def w2phi(entropy, mu, nu, method: str = "auto", n_projections: int = DEFAULT_PR
     if method == "sliced":
         return _w2_sliced(a, b, n_projections, seed)
     raise MethodUnavailable(f"unknown method {method!r}")
+
+
+def resolve_method(method: str, n_a: int, n_b: int, dim: int) -> str:
+    """The estimator ``w2phi`` runs for clouds of n_a and n_b points in dim."""
+    if method != "auto":
+        return method
+    if dim == 1:
+        return "exact-1d"
+    if n_a == n_b and n_a <= AUTO_ASSIGNMENT_MAX:
+        return "assignment"
+    return "sliced"
 
 
 def _w2_exact_1d(a, b):

@@ -43,6 +43,7 @@ from .errors import (
 MAX_RETRIES = 50
 MAX_HALVINGS = 40
 _NOISE_CHUNK = 4096  # steps of noise pre-generated per chain at a time
+_NOISE_BYTES = 64 << 20  # cap on one chunk of noise across all chains
 
 
 @dataclass(frozen=True)
@@ -250,10 +251,15 @@ def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
         rec_pos = 1
     rejections = np.zeros(n_chains, dtype=np.int64)
 
+    # Drawing a stream in several calls yields the same numbers as one call,
+    # so the chunk length changes memory use but not the trajectories.
+    steps_per_chunk = max(1, min(_NOISE_CHUNK, _NOISE_BYTES // (8 * n_chains * p)))
     k = 0
     while k < n_steps:
-        chunk = min(_NOISE_CHUNK, n_steps - k)
-        noise = np.stack([g.standard_normal((chunk, p)) for g in main_rngs])
+        chunk = min(steps_per_chunk, n_steps - k)
+        noise = np.empty((n_chains, chunk, p))
+        for c, g in enumerate(main_rngs):
+            g.standard_normal((chunk, p), out=noise[c])
         for j in range(chunk):
             h = schedule.h_at(k + 1)
             gf = target.grad(X)
@@ -322,8 +328,10 @@ def reference_chain(entropy, target, s: float, substeps: int, seed,
 
 
 def _sqrt_metric(entropy, X):
+    # Every X reaching here already passed a domain check: the x0 check, the
+    # initial grad, or the acceptance test in _try_invert.
     if entropy.separable:
-        return entropy.hessian_sqrt_diag(X)
+        return entropy._hessian_sqrt_diag_unchecked(X)
     return entropy.hessian_sqrt(X)
 
 
@@ -338,6 +346,9 @@ def _propose(Y, gf, sq, h, xi):
 def _try_invert(entropy, y_new):
     """(acceptance mask, inverted points); never raises on bad rows."""
     ok = entropy.dual_contains(y_new)
+    if ok.all():
+        x_new = entropy._grad_conjugate_unchecked(y_new)
+        return entropy.contains(x_new), x_new
     x_new = np.full_like(y_new, np.nan)
     if np.any(ok):
         cand = entropy._grad_conjugate_unchecked(y_new[ok])
@@ -358,20 +369,20 @@ def _advance_rows(entropy, Y, gf, sq, h, xi, retry_rngs):
     if np.all(ok):
         return y_new, x_new, rejections
 
+    # Each retry round proposes for all rejected rows at once; every row
+    # still draws from its own retry stream, in row order.
     for attempt in range(MAX_RETRIES):
         bad = np.flatnonzero(~ok)
         if bad.size == 0:
             break
         rejections[bad] += 1
-        for c in bad:
-            xi_c = retry_rngs[c].standard_normal((1, p))
-            sq_c = sq[c : c + 1] if sq.ndim == 2 else sq[c : c + 1, :, :]
-            y_c = _propose(Y[c : c + 1], gf[c : c + 1], sq_c, h, xi_c)
-            ok_c, x_c = _try_invert(entropy, y_c)
-            if ok_c[0]:
-                y_new[c] = y_c[0]
-                x_new[c] = x_c[0]
-                ok[c] = True
+        xi_b = np.concatenate([retry_rngs[c].standard_normal((1, p)) for c in bad])
+        y_b = _propose(Y[bad], gf[bad], sq[bad], h, xi_b)
+        ok_b, x_b = _try_invert(entropy, y_b)
+        good = bad[ok_b]
+        y_new[good] = y_b[ok_b]
+        x_new[good] = x_b[ok_b]
+        ok[good] = True
 
     bad = np.flatnonzero(~ok)
     for c in bad:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hrlmc import experiments as exp, target as tgt
-from hrlmc.errors import InvalidParameters
+from hrlmc.errors import InvalidParameters, MethodUnavailable
+from hrlmc.metrics import ASSIGNMENT_MAX_POINTS
 
 
 def small_gamma_config(**overrides):
@@ -175,3 +176,39 @@ def test_sweep_per_dimension_entries_are_independent():
     solo = exp.run_dimension_sweep(cfg, dims=[2])
     both = exp.run_dimension_sweep(cfg, dims=[1, 2])
     assert solo.plateaus[0] == both.plateaus[1]
+
+
+# ------------------------------------------------------------------ fan-out
+
+
+def _sweep_csv():
+    cfg = exp.ExperimentConfig(
+        entropy="burg", target="gamma:a=5;b=1", schedule="constant:h=0.2",
+        steps=40, chains=64, x0=(1.0,), checkpoints=(30, 40),
+        base_seed=3, reference_seeds=4, plateau_window=2,
+    )
+    return exp.run_dimension_sweep(cfg, dims=[1, 2]).to_csv()
+
+
+def _convergence_csv():
+    cfg = small_gamma_config(target="gamma:a=5,5;b=1,1", steps=20, chains=64,
+                             checkpoints=(0, 10, 20), reference_seeds=4)
+    return exp.run_convergence_experiment(cfg).to_csv()
+
+
+@pytest.mark.parametrize("produce", [_sweep_csv, _convergence_csv], ids=["sweep", "p2-trace"])
+def test_csv_does_not_depend_on_worker_count(monkeypatch, produce):
+    csvs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(exp, "_usable_cpus", lambda workers=workers: workers)
+        csvs.append(produce())
+    assert csvs[0] == csvs[1]
+
+
+def test_worker_error_keeps_its_type(monkeypatch):
+    monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)
+    cfg = small_gamma_config(target="gamma:a=5,5;b=1,1", steps=0, checkpoints=(0,),
+                             chains=ASSIGNMENT_MAX_POINTS + 1, reference_seeds=2,
+                             distance_method="assignment")
+    with pytest.raises(MethodUnavailable):
+        exp.run_convergence_experiment(cfg)

@@ -192,15 +192,42 @@ def test_run_chain_deterministic():
     np.testing.assert_array_equal(a.points, b.points)
 
 
-def test_parallel_matches_serial_per_derived_seed():
-    e, t = gamma_pair()
-    sch = smp.constant_schedule(0.05)
-    trajs = smp.run_parallel_chains(e, t, sch, [1.0], 60, base_seed=42, n_chains=3)
-    children = np.random.SeedSequence(42).spawn(3)
+@pytest.mark.parametrize(
+    "spec, p, h, n_chains",
+    [
+        ("burg", 1, 0.05, 3),
+        ("mixed:a=0,0.5", 2, 0.05, 3),
+        ("mixed:a=0.3", 1, 0.05, 3),
+        # over a thousand rejections: exercises the batched retry rounds
+        ("burg", 8, 0.2, 16),
+    ],
+    ids=["burg", "mixed-burg-coord", "mixed", "burg-p8-retries"],
+)
+def test_parallel_matches_serial_per_derived_seed(spec, p, h, n_chains):
+    e = ent.parse_entropy(spec, dim=p)
+    t = tgt.gamma_target([5.0] * p, [1.0] * p)
+    sch = smp.constant_schedule(h)
+    trajs = smp.run_parallel_chains(e, t, sch, [1.0] * p, 60, base_seed=42, n_chains=n_chains)
+    children = np.random.SeedSequence(42).spawn(n_chains)
     for c, traj in enumerate(trajs):
-        solo = smp.run_chain(e, t, sch, [1.0], 60, seed=children[c])
+        solo = smp.run_chain(e, t, sch, [1.0] * p, 60, seed=children[c])
         np.testing.assert_array_equal(traj.points, solo.points)
         assert traj.rejections == solo.rejections
+
+
+def test_noise_byte_budget_does_not_change_trajectories(monkeypatch):
+    e, t = ent.burg(2), tgt.gamma_target([5.0, 5.0], [1.0, 1.0])
+    sch = smp.constant_schedule(0.2)
+
+    def run():
+        trajs = smp.run_parallel_chains(e, t, sch, [1.0, 1.0], 50, base_seed=4, n_chains=8)
+        return np.stack([tr.points for tr in trajs]), [tr.rejections for tr in trajs]
+
+    default_points, default_rejections = run()
+    monkeypatch.setattr(smp, "_NOISE_BYTES", 8 * 8 * 2 * 3)  # three steps per chunk
+    points, rejections = run()
+    np.testing.assert_array_equal(points, default_points)
+    assert rejections == default_rejections
 
 
 def test_single_chain_parallel_degenerates_to_run_chain():
