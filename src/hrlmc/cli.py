@@ -2,8 +2,8 @@
 
 Subcommands: sample, distance, check, bound, experiment, sweep.  All
 randomness flows from --seed / config seeds; re-running any command with the
-same arguments writes byte-identical output.  Exit codes: 0 success, 2
-assumption-gate failure, 3 numerical breakdown.
+same arguments writes byte-identical output.  Exit codes: 0 success, 1
+invalid input, 2 assumption-gate failure, 3 numerical breakdown.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .target import parse_target
 
 _GATE_ERRORS = (InadmissibleStepSize, InadmissibleRegime, StepOutOfWindow, EpsOutOfRange)
 _BREAKDOWN_ERRORS = (NumericalBreakdown, ConvergenceFailure, Divergent)
+_CSV_ROWS = 65536  # trace rows formatted and written per block
 
 
 def _fmt(v) -> str:
@@ -50,7 +51,39 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _write_trace_csv(fh, trajectories, p):
+    """Write the ``chain,step,h,x_1..x_p`` trace, ``_CSV_ROWS`` rows per write.
+
+    Every chain of one run shares its recorded steps and step sizes, so the
+    ``step,h,`` text of a row is formatted once for all chains.  ``"%.17g" %``
+    is the same conversion as ``format(v, ".17g")``, so the bytes match
+    ``_fmt``, including ``inf``, ``nan`` and ``-0``.
+    """
+    fh.write("chain,step,h," + ",".join(f"x_{j + 1}" for j in range(p)) + "\n")
+    first = trajectories[0]
+    step_h = [f"{k},{_fmt(h)}," for k, h in zip(first.steps.tolist(), first.step_sizes.tolist())]
+    for tr in trajectories:
+        chain = f"{tr.chain_index},"
+        for start in range(0, len(step_h), _CSV_ROWS):
+            block = tr.points[start:start + _CSV_ROWS]
+            coords = list(map("%.17g".__mod__, block.ravel().tolist()))
+            if p > 1:
+                coords = list(map(",".join, zip(*[iter(coords)] * p)))
+            n = len(coords)
+            parts = [chain] * (4 * n)
+            parts[1::4] = step_h[start:start + n]
+            parts[2::4] = coords
+            parts[3::4] = ["\n"] * n
+            fh.write("".join(parts))
+
+
 def _cmd_sample(args) -> int:
+    """Run the chains, then stream their trace CSV to ``--out`` (``-``: stdout).
+
+    The output is opened only after the run succeeds, so a gate failure or a
+    numerical breakdown leaves no file.  Memory is bounded by the recorded
+    points (8 * chains * records * p bytes), not by the CSV text.
+    """
     target = parse_target(args.target)
     entropy = parse_entropy(args.entropy, dim=target.dim)
     if (args.h is None) == (args.schedule is None):
@@ -67,14 +100,11 @@ def _cmd_sample(args) -> int:
         entropy, target, schedule, x0, args.steps, args.seed, args.chains,
         record_every=args.thin, burn_in=args.burn_in, override_gate=args.override_gate,
     )
-    p = entropy.dim
-    header = "chain,step,h," + ",".join(f"x_{j + 1}" for j in range(p))
-    lines = [header]
-    for tr in trajectories:
-        for i, k in enumerate(tr.steps):
-            coords = ",".join(_fmt(v) for v in tr.points[i])
-            lines.append(f"{tr.chain_index},{int(k)},{_fmt(tr.step_sizes[i])},{coords}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    if args.out in (None, "", "-"):
+        _write_trace_csv(sys.stdout, trajectories, entropy.dim)
+    else:
+        with open(args.out, "w") as fh:
+            _write_trace_csv(fh, trajectories, entropy.dim)
     rejections = sum(tr.rejections for tr in trajectories)
     print(f"sampled {args.chains} chain(s) x {args.steps} steps, {rejections} rejections",
           file=sys.stderr)

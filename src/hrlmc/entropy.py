@@ -156,7 +156,7 @@ def _diag_embed(d: np.ndarray) -> np.ndarray:
 
 
 def _all_finite(x: np.ndarray) -> np.ndarray:
-    return np.all(np.isfinite(x), axis=-1)
+    return np.isfinite(x).all(axis=-1)
 
 
 class EuclideanEntropy(Entropy):
@@ -207,11 +207,11 @@ class BurgEntropy(Entropy):
 
     def contains(self, x):
         x = self._as_points(x)
-        return _all_finite(x) & np.all(x >= BOUNDARY_GUARD, axis=-1)
+        return _all_finite(x) & (x >= BOUNDARY_GUARD).all(axis=-1)
 
     def dual_contains(self, y):
         y = self._as_points(y)
-        return _all_finite(y) & np.all(y < 0.0, axis=-1)
+        return _all_finite(y) & (y < 0.0).all(axis=-1)
 
     def interior_point(self):
         return np.ones(self.dim)
@@ -249,8 +249,8 @@ class LogitBarrierEntropy(Entropy):
         x = self._as_points(x)
         return (
             _all_finite(x)
-            & np.all(x >= BOUNDARY_GUARD, axis=-1)
-            & np.all(x <= 1.0 - BOUNDARY_GUARD, axis=-1)
+            & (x >= BOUNDARY_GUARD).all(axis=-1)
+            & (x <= 1.0 - BOUNDARY_GUARD).all(axis=-1)
         )
 
     def dual_contains(self, y):
@@ -307,14 +307,14 @@ class MixedEntropy(Entropy):
 
     def contains(self, x):
         x = self._as_points(x)
-        return _all_finite(x) & np.all(x >= BOUNDARY_GUARD, axis=-1)
+        return _all_finite(x) & (x >= BOUNDARY_GUARD).all(axis=-1)
 
     def dual_contains(self, y):
         y = self._as_points(y)
         ok = _all_finite(y)
         burg_coords = self.weights == 0.0
-        if np.any(burg_coords):
-            ok = ok & np.all(y[..., burg_coords] < 0.0, axis=-1)
+        if burg_coords.any():
+            ok = ok & (y[..., burg_coords] < 0.0).all(axis=-1)
         return ok
 
     def interior_point(self):
@@ -373,7 +373,7 @@ class BoltzmannShannonEntropy(Entropy):
 
     def contains(self, x):
         x = self._as_points(x)
-        return _all_finite(x) & np.all(x >= BOUNDARY_GUARD, axis=-1)
+        return _all_finite(x) & (x >= BOUNDARY_GUARD).all(axis=-1)
 
     def dual_contains(self, y):
         return _all_finite(self._as_points(y))

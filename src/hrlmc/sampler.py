@@ -27,6 +27,7 @@ rare in admissible regimes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,6 +211,8 @@ def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
     _check_gate(entropy, target, schedule, override_gate)
 
     p = entropy.dim
+    record_ks = range(burn_in, n_steps + 1, record_every)
+    _check_record_memory(n_chains, len(record_ks), p)
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
         X = np.broadcast_to(x0, (n_chains, p)).copy()
@@ -239,10 +242,6 @@ def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
     retry_rngs = [np.random.Generator(np.random.Philox(_retry_seedseq(ss))) for ss in seedseqs]
     main_rngs = [np.random.Generator(np.random.Philox(ss)) for ss in seedseqs]
 
-    record_ks = [
-        k for k in range(n_steps + 1)
-        if k >= burn_in and (k - burn_in) % record_every == 0
-    ]
     rec_points = np.empty((n_chains, len(record_ks), p))
     rec_h = np.zeros(len(record_ks))
     rec_pos = 0
@@ -272,11 +271,17 @@ def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
                 rec_h[rec_pos] = h
                 rec_pos += 1
 
+    # Each chain's points are a view of its row of rec_points, and all chains
+    # share one read-only steps and step-size array, so the result takes
+    # 8 * n_chains * n_records * p bytes, the amount _check_record_memory counts.
+    steps = np.arange(burn_in, n_steps + 1, record_every, dtype=np.int64)
+    steps.flags.writeable = False
+    rec_h.flags.writeable = False
     return [
         Trajectory(
-            points=rec_points[c].copy(),
-            steps=np.asarray(record_ks, dtype=np.int64),
-            step_sizes=rec_h.copy(),
+            points=rec_points[c],
+            steps=steps,
+            step_sizes=rec_h,
             rejections=int(rejections[c]),
             chain_index=c,
         )
@@ -327,6 +332,21 @@ def reference_chain(entropy, target, s: float, substeps: int, seed,
 # ----------------------------------------------------------------- internals
 
 
+def _check_record_memory(n_chains, n_records, p):
+    """Refuse a run whose recorded points alone exceed physical memory."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):  # no sysconf on this platform
+        return
+    need = 8 * n_chains * n_records * p
+    if need > physical:
+        raise InvalidParameters(
+            f"recording {n_chains} chain(s) x {n_records} point(s) x {p} coordinate(s) "
+            f"needs {need / 2**30:.1f} GiB, more than the {physical / 2**30:.1f} GiB of "
+            "physical memory; record fewer points (thin, burn-in) or run fewer chains"
+        )
+
+
 def _sqrt_metric(entropy, X):
     # Every X reaching here already passed a domain check: the x0 check, the
     # initial grad, or the acceptance test in _try_invert.
@@ -350,7 +370,7 @@ def _try_invert(entropy, y_new):
         x_new = entropy._grad_conjugate_unchecked(y_new)
         return entropy.contains(x_new), x_new
     x_new = np.full_like(y_new, np.nan)
-    if np.any(ok):
+    if ok.any():
         cand = entropy._grad_conjugate_unchecked(y_new[ok])
         inside = entropy.contains(cand)
         x_new[ok] = cand
@@ -366,7 +386,7 @@ def _advance_rows(entropy, Y, gf, sq, h, xi, retry_rngs):
     y_new = _propose(Y, gf, sq, h, xi)
     ok, x_new = _try_invert(entropy, y_new)
     rejections = np.zeros(Y.shape[0], dtype=np.int64)
-    if np.all(ok):
+    if ok.all():
         return y_new, x_new, rejections
 
     # Each retry round proposes for all rejected rows at once; every row

@@ -1,6 +1,8 @@
 """CLI surface tests: subcommands, wire formats, exit codes, determinism."""
 
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -40,6 +42,99 @@ def test_sample_rerun_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _per_value_csv(trajectories, p):
+    """Reference for the streamed writer: the CSV built one value at a time."""
+    lines = ["chain,step,h," + ",".join(f"x_{j + 1}" for j in range(p))]
+    for tr in trajectories:
+        for i, k in enumerate(tr.steps):
+            coords = ",".join(format(float(v), ".17g") for v in tr.points[i])
+            lines.append(f"{tr.chain_index},{int(k)},{format(float(tr.step_sizes[i]), '.17g')},"
+                         f"{coords}")
+    return "\n".join(lines) + "\n"
+
+
+def _recording_run(monkeypatch):
+    """Patch the CLI's sampler so the test sees the trajectories it wrote."""
+    seen = []
+    real = cli.run_parallel_chains
+
+    def run(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "run_parallel_chains", run)
+    return seen
+
+
+_WRITER_CASES = {
+    "p2-mixed-burn-thin": [
+        "--entropy", "mixed:a=0,0.5", "--target", "gamma:a=5,5;b=1,1", "--h", "0.05",
+        "--steps", "40", "--chains", "3", "--burn-in", "6", "--thin", "4", "--x0", "1.0",
+    ],
+    "harmonic": [
+        "--entropy", "logit", "--target", "beta:a1=4,a2=4", "--schedule", "harmonic:a=0.3",
+        "--steps", "30", "--chains", "3", "--x0", "0.5",
+    ],
+    "burg-burn-thin": [
+        "--entropy", "burg", "--target", "gamma:a=5,b=1", "--h", "0.05",
+        "--steps", "50", "--chains", "3", "--burn-in", "10", "--thin", "5", "--x0", "0.5",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITER_CASES))
+def test_sample_csv_equals_per_value_loop(case, monkeypatch, tmp_path):
+    seen = _recording_run(monkeypatch)
+    out = tmp_path / "t.csv"
+    assert run_cli(["sample", *_WRITER_CASES[case], "--seed", "5", "--out", str(out)]) == 0
+    p = seen[0][0].points.shape[1]
+    assert out.read_text() == _per_value_csv(seen[0], p)
+
+
+def test_sample_csv_to_stdout(monkeypatch, capsys):
+    seen = _recording_run(monkeypatch)
+    assert run_cli(["sample", *_WRITER_CASES["p2-mixed-burn-thin"], "--out", "-"]) == 0
+    assert capsys.readouterr().out == _per_value_csv(seen[0], 2)
+
+
+def test_sample_csv_blocks_cross_row_limit(monkeypatch, tmp_path):
+    seen = _recording_run(monkeypatch)
+    monkeypatch.setattr(cli, "_CSV_ROWS", 7)
+    out = tmp_path / "t.csv"
+    code = run_cli(["sample", *_WRITER_CASES["harmonic"], "--steps", "24", "--out", str(out)])
+    assert code == 0
+    assert len(seen[0][0].steps) == 25  # blocks of 7, 7, 7 and 4 rows per chain
+    assert out.read_text() == _per_value_csv(seen[0], 1)
+
+
+def test_percent_g_matches_format():
+    rng = np.random.default_rng(0)
+    values = [struct.unpack("<d", rng.bytes(8))[0] for _ in range(20_000)]
+    values += list(rng.standard_normal(2_000) * 10.0 ** rng.integers(-300, 300, 2_000))
+    values += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+               1e-308, -1e-308, float("inf"), float("-inf"), float("nan")]
+    assert [v for v in values if "%.17g" % v != format(v, ".17g")] == []
+
+
+def test_sample_csv_digest_is_pinned(capsys):
+    # sha256 of this run's CSV as written by the per-value loop.
+    args = ["sample", *_WRITER_CASES["burg-burn-thin"], "--seed", "11", "--out", "-"]
+    assert run_cli(args) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "389f129f842b09bae252db45f161204ccbb03a3d53dbd0a7f477191cac1fe28d"
+
+
+def test_sample_oversized_record_fails_fast(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code = run_cli([
+        "sample", "--entropy", "burg", "--target", "gamma:a=5,b=1", "--h", "0.05",
+        "--chains", "4096", "--steps", str(10**9), "--x0", "1.0", "--out", str(out),
+    ])
+    assert code == 1
+    assert "GiB" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_gate_failure_exit_code(tmp_path):
     code = run_cli([
         "sample", "--entropy", "burg", "--target", "gamma:a=5,b=1",
@@ -47,6 +142,7 @@ def test_sample_gate_failure_exit_code(tmp_path):
         "--out", str(tmp_path / "t.csv"),
     ])
     assert code == 2
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_sample_override_gate(tmp_path):
@@ -180,6 +276,7 @@ def test_numerical_breakdown_exit_code(monkeypatch, tmp_path):
         "--out", str(tmp_path / "t.csv"),
     ])
     assert code == 3
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_sweep_rerun_byte_identical(tmp_path):

@@ -177,6 +177,21 @@ def test_recording_burn_in_and_thinning():
     np.testing.assert_array_equal(traj.points, full.points[[10, 15, 20]])
 
 
+def test_chains_share_one_record_buffer():
+    # The memory guard counts 8 * chains * records * p bytes; per-chain
+    # copies of the points or the schedule would multiply that.
+    e, t = gamma_pair()
+    trajs = smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 20, 0, 3,
+                                    record_every=5, burn_in=5)
+    first = trajs[0]
+    assert first.points.base is not None
+    for tr in trajs:
+        assert tr.points.base is first.points.base
+        assert tr.steps is first.steps and tr.step_sizes is first.step_sizes
+    assert not first.steps.flags.writeable and not first.step_sizes.flags.writeable
+    np.testing.assert_array_equal(first.steps, [5, 10, 15, 20])
+
+
 def test_all_recorded_points_interior():
     e, t = gamma_pair()
     traj = smp.run_chain(
