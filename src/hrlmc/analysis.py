@@ -160,12 +160,8 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
     keep = gg > DEGENERATE_PAIR_TOL
     n_degenerate = int(np.sum(~keep))
 
-    if entropy.separable:
-        ds = (entropy.hessian_sqrt_diag(x1) - entropy.hessian_sqrt_diag(x2)).astype(_LD)
-        frob = np.sqrt(np.sum(ds * ds, axis=-1))
-    else:
-        diff = entropy.hessian_sqrt(x1) - entropy.hessian_sqrt(x2)
-        frob = np.linalg.norm(diff, axis=(-2, -1)).astype(_LD)
+    ds = (entropy.hessian_sqrt_diag(x1) - entropy.hessian_sqrt_diag(x2)).astype(_LD)
+    frob = np.sqrt(np.sum(ds * ds, axis=-1))
     kappa_hat = float(np.max(math.sqrt(2.0) * frob[keep] / gg[keep]))
 
     df = (target.grad(x1) - target.grad(x2)).astype(_LD)
@@ -235,12 +231,8 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
 
 def _commutator_norms(entropy, target, x):
     hf = target.hessian(x)
-    if entropy.separable:
-        inv_d = 1.0 / entropy.hessian_diag(x)
-        comm = inv_d[..., :, None] * hf - hf * inv_d[..., None, :]
-    else:
-        inv = np.linalg.inv(entropy.hessian(x))
-        comm = inv @ hf - hf @ inv
+    inv_d = 1.0 / entropy.hessian_diag(x)
+    comm = inv_d[..., :, None] * hf - hf * inv_d[..., None, :]
     return np.linalg.norm(comm, ord=2, axis=(-2, -1))
 
 

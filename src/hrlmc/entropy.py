@@ -2,15 +2,17 @@
 
 Each entropy carries a strictly convex potential ``phi`` on an open domain,
 its gradient (the mirror map), the inverse mirror map ``grad_conjugate``,
-the Hessian and its SPD square root, and a declared self-concordance-like
-constant ``kappa`` bounding
+the diagonal of the Hessian and of its SPD square root, and a declared
+self-concordance-like constant ``kappa`` bounding
 
     sqrt(2) * ||D2phi(x)^(1/2) - D2phi(x')^(1/2)||_F
         <= kappa * ||grad phi(x) - grad phi(x')||_2.
 
-All registered entropies are separable, so Hessians are diagonal and the
-square root is taken coordinate-wise.  Operations are vectorized over any
-number of leading axes: a point is an array of shape ``(..., dim)``.
+Every potential here is a sum of one-coordinate terms, so the metric is
+diagonal: the ``hessian_diag`` and ``hessian_sqrt_diag`` vectors are its only
+representation, and the dense ``hessian``/``hessian_sqrt`` matrices are
+views built from them.  Operations are vectorized over any number of
+leading axes: a point is an array of shape ``(..., dim)``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ import math
 import numpy as np
 from scipy.special import wrightomega
 
-from .errors import (
-    DomainViolation,
-    DualDomainViolation,
-    InvalidParameters,
-    NumericalBreakdown,
-)
+from .errors import DomainViolation, DualDomainViolation, InvalidParameters
 
 # Points closer than this to the domain boundary are rejected: Hessians blow
 # up there and every domain is open.
@@ -35,15 +32,16 @@ BOUNDARY_GUARD = 1e-12
 class Entropy:
     """Base class: domain handling, dense-matrix views, shared plumbing.
 
-    Subclasses implement the coordinate-wise maps (``_grad_unchecked`` and
-    friends) plus domain predicates.  Instances are immutable after
-    construction and safe to share across threads.
+    Subclasses implement the coordinate-wise maps (``_grad_unchecked``,
+    ``_hessian_diag_unchecked`` and friends) plus domain predicates.  The
+    Hessian is diagonal; ``hessian`` and ``hessian_sqrt`` only embed the
+    diagonal in a dense matrix.  Instances are immutable after construction
+    and safe to share across threads.
     """
 
     name: str
     dim: int
     kappa_declared: float | None
-    separable: bool = True
     proposal: str = "unspecified"
 
     # -- domain ---------------------------------------------------------
@@ -102,26 +100,11 @@ class Entropy:
 
     def hessian(self, x) -> np.ndarray:
         """Dense SPD Hessian, shape ``(..., dim, dim)``."""
-        if self.separable:
-            return _diag_embed(self.hessian_diag(x))
-        raise NotImplementedError
+        return _diag_embed(self.hessian_diag(x))
 
     def hessian_sqrt(self, x) -> np.ndarray:
-        """The unique SPD square root of ``hessian(x)``.
-
-        Coordinate-wise for separable entropies, otherwise through a
-        symmetric eigendecomposition of the dense Hessian.
-        """
-        if self.separable:
-            return _diag_embed(self.hessian_sqrt_diag(x))
-        h = self.hessian(x)
-        try:
-            vals, vecs = np.linalg.eigh(h)
-        except np.linalg.LinAlgError as err:
-            raise NumericalBreakdown(f"{self.name}: Hessian eigendecomposition failed") from err
-        if np.any(vals <= 0.0):
-            raise NumericalBreakdown(f"{self.name}: Hessian is not positive definite")
-        return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+        """Dense SPD square root of ``hessian(x)``."""
+        return _diag_embed(self.hessian_sqrt_diag(x))
 
     def scaled(self, alpha: float) -> "ScaledEntropy":
         return ScaledEntropy(self, alpha)
@@ -417,7 +400,6 @@ class ScaledEntropy(Entropy):
             self.kappa_declared = None
         else:
             self.kappa_declared = base.kappa_declared / self._sqrt_alpha
-        self.separable = base.separable
         self.proposal = base.proposal
 
     def contains(self, x):
@@ -477,8 +459,8 @@ def register_table1_entropies(dim: int = 3, mixed_weights=None) -> list[Entropy]
     """The four entropies with computable mirror maps and declared kappa.
 
     Euclidean (kappa 0), Burg (sqrt 2), the logit barrier (sqrt 2), and the
-    mixed family (sqrt(2 / (1 - max a))).  The rows with non-invertible or
-    non-separable mirror maps are deliberately not registered.
+    mixed family (sqrt(2 / (1 - max a))).  The rows with non-invertible mirror
+    maps or non-diagonal Hessians are deliberately not registered.
     """
     if mixed_weights is None:
         mixed_weights = np.linspace(0.0, 0.7, max(dim, 1))

@@ -116,14 +116,6 @@ class Target:
         return f"<Target {self.name!r} dim={self.dim} paired={self.paired_entropy!r}>"
 
 
-def _diag_embed(d):
-    p = d.shape[-1]
-    out = np.zeros(d.shape + (p,))
-    idx = np.arange(p)
-    out[..., idx, idx] = d
-    return out
-
-
 def gaussian_target(A) -> Target:
     """Centered Gaussian with precision matrix A (symmetric positive definite)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -204,7 +196,7 @@ def gamma_target(a, b) -> Target:
         return (1.0 - a) / x + b
 
     def hessian(x):
-        return _diag_embed((a - 1.0) / (x * x))
+        return _entropy._diag_embed((a - 1.0) / (x * x))
 
     def sampler(rng, n):
         return rng.gamma(shape=a, scale=1.0 / b, size=(n, p))
@@ -253,7 +245,7 @@ def beta_target(a1, a2) -> Target:
         return (1.0 - a1) / x - (1.0 - a2) / (1.0 - x)
 
     def hessian(x):
-        return _diag_embed((a1 - 1.0) / (x * x) + (a2 - 1.0) / ((1.0 - x) * (1.0 - x)))
+        return _entropy._diag_embed((a1 - 1.0) / (x * x) + (a2 - 1.0) / ((1.0 - x) * (1.0 - x)))
 
     def sampler(rng, n):
         # Gamma-ratio construction keeps the draw deterministic given the rng.
@@ -322,10 +314,7 @@ class RConstantEstimate:
 
 
 def _spectral_norm_of_metric(entropy, x):
-    if entropy.separable:
-        return np.max(np.abs(entropy.hessian_diag(x)), axis=-1)
-    h = entropy.hessian(x)
-    return np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    return np.max(np.abs(entropy.hessian_diag(x)), axis=-1)
 
 
 def r_constant(target: Target, method: str = "declared", n: int = 100_000,

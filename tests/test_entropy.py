@@ -245,27 +245,3 @@ def test_parse_entropy_names():
     np.testing.assert_allclose(mix.weights, [0.3, 0.7])
     with pytest.raises(InvalidParameters):
         ent.parse_entropy("hellinger")
-
-
-def test_non_separable_hessian_sqrt_fallback():
-    class RotatedQuadratic(ent.Entropy):
-        # dense constant Hessian, exercises the eigendecomposition path
-        def __init__(self):
-            self.dim = 2
-            self.name = "rotated-quadratic"
-            self.kappa_declared = 0.0
-            self.separable = False
-            self._H = np.array([[2.0, 0.5], [0.5, 1.0]])
-
-        def contains(self, x):
-            return np.all(np.isfinite(self._as_points(x)), axis=-1)
-
-        def hessian(self, x):
-            x = self._require_interior(x)
-            return np.broadcast_to(self._H, x.shape + (2,)).copy()
-
-    e = RotatedQuadratic()
-    s = e.hessian_sqrt(np.zeros(2))
-    np.testing.assert_allclose(s @ s, e.hessian(np.zeros(2)), rtol=1e-12)
-    np.testing.assert_allclose(s, s.T, atol=1e-15)
-    assert np.all(np.linalg.eigvalsh(s) > 0.0)

@@ -1,5 +1,6 @@
 """Chain-stepping tests: closed-form steps, determinism, gates, rejections."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hrlmc.errors import (
     DualDomainViolation,
     InadmissibleStepSize,
     InvalidParameters,
+    NumericalBreakdown,
     Unavailable,
 )
 
@@ -208,17 +210,21 @@ def test_run_chain_deterministic():
 
 
 @pytest.mark.parametrize(
-    "spec, p, h, n_chains",
+    "spec, p, h, n_chains, max_retries",
     [
-        ("burg", 1, 0.05, 3),
-        ("mixed:a=0,0.5", 2, 0.05, 3),
-        ("mixed:a=0.3", 1, 0.05, 3),
+        ("burg", 1, 0.05, 3, smp.MAX_RETRIES),
+        ("mixed:a=0,0.5", 2, 0.05, 3, smp.MAX_RETRIES),
+        ("mixed:a=0.3", 1, 0.05, 3, smp.MAX_RETRIES),
         # over a thousand rejections: exercises the batched retry rounds
-        ("burg", 8, 0.2, 16),
+        ("burg", 8, 0.2, 16, smp.MAX_RETRIES),
+        # one try per step size: hundreds of row-steps reach the halvings
+        ("burg", 8, 0.2, 16, 1),
     ],
-    ids=["burg", "mixed-burg-coord", "mixed", "burg-p8-retries"],
+    ids=["burg", "mixed-burg-coord", "mixed", "burg-p8-retries", "burg-p8-halvings"],
 )
-def test_parallel_matches_serial_per_derived_seed(spec, p, h, n_chains):
+def test_parallel_matches_serial_per_derived_seed(monkeypatch, spec, p, h, n_chains,
+                                                  max_retries):
+    monkeypatch.setattr(smp, "MAX_RETRIES", max_retries)
     e = ent.parse_entropy(spec, dim=p)
     t = tgt.gamma_target([5.0] * p, [1.0] * p)
     sch = smp.constant_schedule(h)
@@ -276,6 +282,50 @@ def test_rejections_counted_and_reported():
         override_gate=True,
     )
     assert sum(tr.rejections for tr in trajs) > 0
+
+
+def _burg_p8_halvings(monkeypatch):
+    """Burg p=8 at h=0.2 with one try per step size, so rows reach the halvings."""
+    monkeypatch.setattr(smp, "MAX_RETRIES", 1)
+    e, t = ent.burg(8), tgt.gamma_target([5.0] * 8, [1.0] * 8)
+    return smp.run_parallel_chains(
+        e, t, smp.constant_schedule(0.2), [1.0] * 8, 60, base_seed=42, n_chains=16
+    )
+
+
+def test_rejections_count_every_failed_proposal(monkeypatch):
+    failed = []
+    try_invert = smp._try_invert
+
+    def counting(entropy, y_new):
+        ok, x_new = try_invert(entropy, y_new)
+        failed.append(int((~ok).sum()))
+        return ok, x_new
+
+    monkeypatch.setattr(smp, "_try_invert", counting)
+    trajs = _burg_p8_halvings(monkeypatch)
+    assert sum(failed) > 0
+    assert sum(tr.rejections for tr in trajs) == sum(failed)
+
+
+def test_halving_path_points_are_pinned(monkeypatch):
+    # The halved tries must keep drawing the same proposals from each row's
+    # retry stream, so the recorded points are pinned bit for bit.
+    points = np.stack([tr.points for tr in _burg_p8_halvings(monkeypatch)])
+    assert hashlib.sha256(points.tobytes()).hexdigest() == (
+        "23d0521aa319d162c387fa56cc239876dff53b7fb0a0789422cfdcdbb6be7d3b"
+    )
+
+
+def test_exhausted_retries_raise_numerical_breakdown(monkeypatch):
+    monkeypatch.setattr(smp, "MAX_RETRIES", 0)
+    monkeypatch.setattr(smp, "MAX_HALVINGS", 0)
+    e, t = ent.burg(8), tgt.gamma_target([5.0] * 8, [1.0] * 8)
+    with pytest.raises(NumericalBreakdown):
+        smp.run_parallel_chains(
+            e, t, smp.constant_schedule(0.2), [1.0] * 8, 20, base_seed=7, n_chains=64,
+            override_gate=True,
+        )
 
 
 def test_x0_must_be_interior():
