@@ -19,6 +19,7 @@ from .entropy import (
 from .experiments import ExperimentConfig, run_convergence_experiment, run_dimension_sweep
 from .metrics import gaussian_w2, mirror_embed, moment_report, w2phi
 from .sampler import (
+    Trace,
     constant_schedule,
     harmonic_schedule,
     hrlmc_step,

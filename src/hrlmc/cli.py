@@ -25,6 +25,7 @@ from .errors import (
     InadmissibleStepSize,
     NumericalBreakdown,
     StepOutOfWindow,
+    parse_number,
 )
 from .experiments import ExperimentConfig, run_convergence_experiment, run_dimension_sweep
 from .sampler import constant_schedule, parse_schedule, run_parallel_chains
@@ -51,7 +52,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _write_trace_csv(fh, trajectories, p):
+def _write_trace_csv(fh, trace):
     """Write the ``chain,step,h,x_1..x_p`` trace, ``_CSV_ROWS`` rows per write.
 
     Every chain of one run shares its recorded steps and step sizes, so the
@@ -59,13 +60,13 @@ def _write_trace_csv(fh, trajectories, p):
     is the same conversion as ``format(v, ".17g")``, so the bytes match
     ``_fmt``, including ``inf``, ``nan`` and ``-0``.
     """
+    p = trace.points.shape[2]
     fh.write("chain,step,h," + ",".join(f"x_{j + 1}" for j in range(p)) + "\n")
-    first = trajectories[0]
-    step_h = [f"{k},{_fmt(h)}," for k, h in zip(first.steps.tolist(), first.step_sizes.tolist())]
-    for tr in trajectories:
-        chain = f"{tr.chain_index},"
+    step_h = [f"{k},{_fmt(h)}," for k, h in zip(trace.steps.tolist(), trace.step_sizes.tolist())]
+    for c, points in enumerate(trace.points):
+        chain = f"{c},"
         for start in range(0, len(step_h), _CSV_ROWS):
-            block = tr.points[start:start + _CSV_ROWS]
+            block = points[start:start + _CSV_ROWS]
             coords = list(map("%.17g".__mod__, block.ravel().tolist()))
             if p > 1:
                 coords = list(map(",".join, zip(*[iter(coords)] * p)))
@@ -90,22 +91,22 @@ def _cmd_sample(args) -> int:
         raise SystemExit("sample: give exactly one of --h or --schedule")
     schedule = constant_schedule(args.h) if args.h is not None else parse_schedule(args.schedule)
     x0 = (
-        np.asarray([float(tok) for tok in args.x0.split(",")])
+        np.asarray([parse_number(tok) for tok in args.x0.split(",")])
         if args.x0
         else entropy.interior_point()
     )
     if x0.size == 1 and entropy.dim > 1:
         x0 = np.full(entropy.dim, float(x0[0]))
-    trajectories = run_parallel_chains(
+    trace = run_parallel_chains(
         entropy, target, schedule, x0, args.steps, args.seed, args.chains,
         record_every=args.thin, burn_in=args.burn_in, override_gate=args.override_gate,
     )
     if args.out in (None, "", "-"):
-        _write_trace_csv(sys.stdout, trajectories, entropy.dim)
+        _write_trace_csv(sys.stdout, trace)
     else:
         with open(args.out, "w") as fh:
-            _write_trace_csv(fh, trajectories, entropy.dim)
-    rejections = sum(tr.rejections for tr in trajectories)
+            _write_trace_csv(fh, trace)
+    rejections = int(trace.rejections.sum())
     print(f"sampled {args.chains} chain(s) x {args.steps} steps, {rejections} rejections",
           file=sys.stderr)
     return 0
@@ -181,7 +182,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    dims = [int(tok) for tok in args.dims.split(",")] if args.dims else None
+    dims = [parse_number(tok, int) for tok in args.dims.split(",")] if args.dims else None
     result = run_dimension_sweep(config, dims)
     out = args.out or config.out
     _write_text(out, result.to_csv())

@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.special import wrightomega
 
-from .errors import DomainViolation, DualDomainViolation, InvalidParameters
+from .errors import DomainViolation, DualDomainViolation, InvalidParameters, parse_number
 
 # Points closer than this to the domain boundary are rejected: Hessians blow
 # up there and every domain is open.
@@ -480,7 +480,7 @@ def parse_entropy(spec: str, dim: int | None = None) -> Entropy:
     if head == "mixed":
         if not rest.startswith("a="):
             raise InvalidParameters("mixed entropy spec must look like mixed:a=0.3,0.7")
-        weights = [float(tok) for tok in rest[2:].split(",") if tok]
+        weights = [parse_number(tok) for tok in rest[2:].split(",") if tok]
         return mixed(weights)
     if rest:
         raise InvalidParameters(f"unexpected parameters for entropy {head!r}")

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the number parser for user input."""
 
 
 class HrlmcError(Exception):
@@ -67,3 +67,11 @@ class SizeMismatch(HrlmcError):
 
 class MethodUnavailable(HrlmcError):
     """The requested distance method cannot be applied to these inputs."""
+
+
+def parse_number(text, kind=float):
+    """``kind(text)``; malformed user input raises InvalidParameters, not ValueError."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidParameters(f"cannot parse {text!r} as {kind.__name__}") from None

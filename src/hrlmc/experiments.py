@@ -33,7 +33,7 @@ import numpy as np
 from . import metrics
 from .analysis import bound_report, estimate_constants
 from .entropy import parse_entropy
-from .errors import InvalidParameters
+from .errors import InvalidParameters, parse_number
 from .sampler import constant_schedule, parse_schedule, run_parallel_chains
 from .target import gamma_target, parse_target
 
@@ -103,11 +103,11 @@ class ExperimentConfig:
         kwargs = {}
         for key, val in raw.items():
             if key in _INT_FIELDS:
-                kwargs[key] = int(val)
+                kwargs[key] = parse_number(val, int)
             elif key in _FLOAT_TUPLE_FIELDS:
-                kwargs[key] = tuple(float(tok) for tok in val.split(",") if tok)
+                kwargs[key] = tuple(parse_number(tok) for tok in val.split(",") if tok)
             elif key in _INT_TUPLE_FIELDS:
-                kwargs[key] = tuple(int(tok) for tok in val.split(",") if tok)
+                kwargs[key] = tuple(parse_number(tok, int) for tok in val.split(",") if tok)
             else:
                 kwargs[key] = val
         return cls(**kwargs)
@@ -168,14 +168,14 @@ def _map_distance_tasks(task, n_tasks, method):
         return list(pool.map(_run_installed, range(n_tasks)))
 
 
-def _checkpoint_clouds(trajectories, checkpoints):
-    steps = trajectories[0].steps
-    index = {int(k): i for i, k in enumerate(steps)}
+def _checkpoint_clouds(trace, checkpoints):
+    # Look records up by step, never index by k: a negative k would wrap.
+    index = {int(k): i for i, k in enumerate(trace.steps)}
     clouds = {}
     for k in checkpoints:
         if int(k) not in index:
             raise InvalidParameters(f"checkpoint {k} was not recorded")
-        clouds[int(k)] = np.stack([tr.points[index[int(k)]] for tr in trajectories])
+        clouds[int(k)] = trace.points[:, index[int(k)]]
     return clouds
 
 
@@ -229,10 +229,10 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
     x0 = np.asarray(config.x0, dtype=float)
     if x0.size == 1:
         x0 = np.full(target.dim, float(x0[0]))
-    trajectories = run_parallel_chains(
+    trace = run_parallel_chains(
         entropy, target, schedule, x0, config.steps, config.base_seed, config.chains
     )
-    clouds = _checkpoint_clouds(trajectories, config.checkpoints)
+    clouds = _checkpoint_clouds(trace, config.checkpoints)
 
     reps = config.reference_seeds
     tasks = [(k, rep) for k in clouds for rep in range(reps)]
@@ -280,7 +280,7 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
         config=config,
         report=report,
         bound=bound,
-        total_rejections=sum(tr.rejections for tr in trajectories),
+        total_rejections=int(trace.rejections.sum()),
         distances=distances,
     )
 
@@ -341,11 +341,11 @@ def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
         entropy = parse_entropy(config.entropy, dim=p)
         x0 = np.asarray(config.x0, dtype=float)
         x0 = np.full(p, float(x0[0])) if x0.size == 1 else x0
-        trajectories = run_parallel_chains(
+        trace = run_parallel_chains(
             entropy, target, schedule, x0, config.steps,
             config.base_seed + 101 * p, config.chains,
         )
-        clouds = _checkpoint_clouds(trajectories, plateau_ks)
+        clouds = _checkpoint_clouds(trace, plateau_ks)
         tasks = [(k, rep) for k in plateau_ks for rep in range(reps)]
 
         def squared_distances(i):
@@ -400,11 +400,11 @@ def moment_plateau_gaussian(target, h, n_chains, n_steps, burn_in, seed,
     far below the finite-sample floor of two-cloud empirical estimators.
     """
     entropy = parse_entropy("euclidean", dim=target.dim)
-    trajectories = run_parallel_chains(
+    trace = run_parallel_chains(
         entropy, target, constant_schedule(h), np.zeros(target.dim),
         n_steps, seed, n_chains, record_every=record_every, burn_in=burn_in,
     )
-    pooled = np.concatenate([tr.points for tr in trajectories], axis=0)
+    pooled = trace.points.reshape(-1, target.dim)
     mean = pooled.mean(axis=0)
     cov = np.cov(pooled.T, ddof=1).reshape(target.dim, target.dim)
     return metrics.gaussian_w2(mean, cov, np.zeros(target.dim), target.covariance)

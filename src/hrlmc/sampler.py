@@ -11,7 +11,7 @@ exactly the classical unadjusted Langevin update
 the reduction is bit-for-bit.
 
 Randomness contract: every chain owns a Philox stream derived from
-(base_seed, chain_index) through SeedSequence spawning and consumes exactly
+(base_seed, chain index) through SeedSequence spawning and consumes exactly
 ``dim`` normal draws per step.  Rejection retries draw from a separate
 per-chain child stream, so trajectories are reproducible regardless of how
 chains are batched or threaded.
@@ -46,6 +46,7 @@ from .errors import (
     InvalidParameters,
     NumericalBreakdown,
     Unavailable,
+    parse_number,
 )
 
 MAX_RETRIES = 50
@@ -96,9 +97,9 @@ def parse_schedule(spec: str) -> StepSchedule:
     head, _, rest = spec.partition(":")
     key, _, val = rest.partition("=")
     if head == "constant" and key == "h":
-        return constant_schedule(float(val))
+        return constant_schedule(parse_number(val))
     if head == "harmonic" and key == "a":
-        return harmonic_schedule(float(val))
+        return harmonic_schedule(parse_number(val))
     raise InvalidParameters(f"cannot parse schedule {spec!r}")
 
 
@@ -123,7 +124,7 @@ def _retry_seedseq(ss: np.random.SeedSequence) -> np.random.SeedSequence:
 
 
 def init_state(entropy, x0, seed) -> ChainState:
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    ss = _seed_sequence(seed)
     retry_ss = _retry_seedseq(ss)
     x0 = np.asarray(x0, dtype=float).reshape(entropy.dim)
     y0 = entropy.grad(x0)
@@ -182,33 +183,61 @@ class Trajectory:
     steps: np.ndarray        # (n_recorded,) step indices k
     step_sizes: np.ndarray   # (n_recorded,) h_k used to reach each point (0 at k=0)
     rejections: int
-    chain_index: int = 0
+
+
+@dataclass(frozen=True)
+class Trace:
+    """Recorded points of every chain in one buffer; ``trace[c]`` views chain c.
+
+    Row c of ``points`` and ``rejections`` is chain c; all chains share the
+    read-only ``steps`` and ``step_sizes``.
+    """
+
+    points: np.ndarray       # (n_chains, n_recorded, dim)
+    steps: np.ndarray        # (n_recorded,) step indices k
+    step_sizes: np.ndarray   # (n_recorded,) h_k used to reach each point (0 at k=0)
+    rejections: np.ndarray   # (n_chains,) int64 failed proposals per chain
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
+
+    def __getitem__(self, c) -> Trajectory:
+        # Past the last chain numpy raises IndexError, which ends iteration.
+        return Trajectory(self.points[c], self.steps, self.step_sizes, int(self.rejections[c]))
 
 
 def run_chain(entropy, target, schedule: StepSchedule, x0, n_steps: int, seed,
               record_every: int = 1, burn_in: int = 0,
               override_gate: bool = False) -> Trajectory:
     """Run a single chain; deterministic given the seed."""
-    return run_parallel_chains(
-        entropy, target, schedule, x0, n_steps, seed, n_chains=1,
-        record_every=record_every, burn_in=burn_in, override_gate=override_gate,
-        _single_seed=True,
-    )[0]
+    return _run_chains(entropy, target, schedule, x0, n_steps, [_seed_sequence(seed)],
+                       record_every, burn_in, override_gate)[0]
 
 
 def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
                         n_steps: int, base_seed, n_chains: int,
                         record_every: int = 1, burn_in: int = 0,
-                        override_gate: bool = False,
-                        _single_seed: bool = False) -> list[Trajectory]:
-    """Run independent chains; bitwise identical to running each serially.
+                        override_gate: bool = False) -> Trace:
+    """Run independent chains into one Trace; bitwise identical to serial runs.
 
-    Per-chain seeds derive from the base seed by SeedSequence spawning; the
-    batch update applies the same elementwise arithmetic to every row, so
-    thread or batch layout cannot change results.
+    Chain c (row c of the trace) runs from the c-th SeedSequence spawned from
+    the base seed; the batch update applies the same elementwise arithmetic
+    to every row, so thread or batch layout cannot change results.
     """
     if n_chains < 1:
         raise InvalidParameters("need at least one chain")
+    return _run_chains(entropy, target, schedule, x0, n_steps,
+                       _seed_sequence(base_seed).spawn(n_chains),
+                       record_every, burn_in, override_gate)
+
+
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
+def _run_chains(entropy, target, schedule, x0, n_steps, seedseqs, record_every, burn_in,
+                override_gate) -> Trace:
+    """Run one chain per SeedSequence, all rows of one batch."""
     if record_every < 1 or burn_in < 0 or n_steps < 0:
         raise InvalidParameters("bad recording parameters")
     if entropy.dim != target.dim:
@@ -218,35 +247,18 @@ def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
         )
     _check_gate(entropy, target, schedule, override_gate)
 
+    n_chains = len(seedseqs)
     p = entropy.dim
     record_ks = range(burn_in, n_steps + 1, record_every)
     _check_record_memory(n_chains, len(record_ks), p)
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        X = np.broadcast_to(x0, (n_chains, p)).copy()
-    else:
-        if x0.shape != (n_chains, p):
-            raise InvalidParameters(f"x0 must have shape ({n_chains}, {p})")
-        X = x0.copy()
+    if x0.ndim != 1 and x0.shape != (n_chains, p):
+        raise InvalidParameters(f"x0 must have shape ({n_chains}, {p})")
+    X = np.broadcast_to(x0, (n_chains, p)).copy()
     if not np.all(entropy.contains(X)):
         raise InvalidParameters("x0 must be strictly interior")
     Y = entropy.grad(X)
 
-    if _single_seed:
-        if n_chains != 1:
-            raise InvalidParameters("_single_seed only applies to one chain")
-        seedseqs = [
-            base_seed
-            if isinstance(base_seed, np.random.SeedSequence)
-            else np.random.SeedSequence(base_seed)
-        ]
-    else:
-        root = (
-            base_seed
-            if isinstance(base_seed, np.random.SeedSequence)
-            else np.random.SeedSequence(base_seed)
-        )
-        seedseqs = root.spawn(n_chains)
     retry_rngs = [np.random.Generator(np.random.Philox(_retry_seedseq(ss))) for ss in seedseqs]
     main_rngs = [np.random.Generator(np.random.Philox(ss)) for ss in seedseqs]
 
@@ -281,22 +293,11 @@ def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
                 rec_h[rec_pos] = h
                 rec_pos += 1
 
-    # Each chain's points are a view of its row of rec_points, and all chains
-    # share one read-only steps and step-size array, so the result takes
-    # 8 * n_chains * n_records * p bytes, the amount _check_record_memory counts.
+    # The points take the 8 * n_chains * n_records * p bytes _check_record_memory counts.
     steps = np.arange(burn_in, n_steps + 1, record_every, dtype=np.int64)
     steps.flags.writeable = False
     rec_h.flags.writeable = False
-    return [
-        Trajectory(
-            points=rec_points[c],
-            steps=steps,
-            step_sizes=rec_h,
-            rejections=int(rejections[c]),
-            chain_index=c,
-        )
-        for c in range(n_chains)
-    ]
+    return Trace(rec_points, steps, rec_h, rejections)
 
 
 def largest_admissible_a(entropy, target) -> float:

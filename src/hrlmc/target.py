@@ -31,7 +31,7 @@ import numpy as np
 from scipy import integrate
 
 from . import entropy as _entropy
-from .errors import Divergent, InvalidParameters, Unavailable
+from .errors import Divergent, InvalidParameters, Unavailable, parse_number
 
 
 class Target:
@@ -409,7 +409,7 @@ def parse_target(spec: str) -> Target:
         val = val.strip()
         m = _DIAG_RE.match(val)
         if m:
-            diag = [float(tok) for tok in m.group(1).split(",") if tok]
+            diag = [parse_number(tok) for tok in m.group(1).split(",") if tok]
             return gaussian_target(np.diag(diag))
         try:
             return gaussian_target(np.array([[float(val)]]))
@@ -440,10 +440,10 @@ def _parse_number_lists(text):
             if "=" in token:
                 key, _, val = token.partition("=")
                 current = key.strip()
-                fields.setdefault(current, []).append(float(val))
+                fields.setdefault(current, []).append(parse_number(val))
             else:
                 if current is None:
                     raise InvalidParameters(f"dangling value {token!r} in target spec")
-                fields[current].append(float(token))
+                fields[current].append(parse_number(token))
         current = None
     return fields

@@ -42,13 +42,13 @@ def test_sample_rerun_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _per_value_csv(trajectories, p):
+def _per_value_csv(trace, p):
     """Reference for the streamed writer: the CSV built one value at a time."""
     lines = ["chain,step,h," + ",".join(f"x_{j + 1}" for j in range(p))]
-    for tr in trajectories:
+    for c, tr in enumerate(trace):
         for i, k in enumerate(tr.steps):
             coords = ",".join(format(float(v), ".17g") for v in tr.points[i])
-            lines.append(f"{tr.chain_index},{int(k)},{format(float(tr.step_sizes[i]), '.17g')},"
+            lines.append(f"{c},{int(k)},{format(float(tr.step_sizes[i]), '.17g')},"
                          f"{coords}")
     return "\n".join(lines) + "\n"
 
@@ -122,6 +122,32 @@ def test_sample_csv_digest_is_pinned(capsys):
     assert run_cli(args) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "389f129f842b09bae252db45f161204ccbb03a3d53dbd0a7f477191cac1fe28d"
+
+
+_SAMPLE = ["sample", "--entropy", "burg", "--target", "gamma:a=5,b=1", "--steps", "5"]
+_CONFIG = ("entropy = burg\ntarget = gamma:a=5;b=1\nschedule = constant:h=0.2\n"
+           "steps = 20\nchains = 16\ncheckpoints = 10,20\nplateau_window = 2\n")
+
+
+@pytest.mark.parametrize("argv, config", [
+    (_SAMPLE + ["--schedule", "constant:h=abc"], None),
+    (_SAMPLE + ["--h", "0.05", "--x0", "abc"], None),
+    (_SAMPLE + ["--h", "0.05", "--entropy", "mixed:a=x"], None),
+    (_SAMPLE + ["--h", "0.05", "--target", "gamma:a=q,b=1"], None),
+    (_SAMPLE + ["--h", "0.05", "--entropy", "euclidean", "--target", "gaussian:A=diag(1,x)"],
+     None),
+    (["experiment"], _CONFIG.replace("steps = 20", "steps = abc")),
+    (["sweep", "--dims", "1,x"], _CONFIG),
+], ids=["schedule", "x0", "mixed-weights", "target-list", "gaussian-diag", "config-int",
+        "sweep-dims"])
+def test_malformed_number_is_invalid_input(argv, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "exp.ini"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    assert run_cli([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot parse")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_sample_oversized_record_fails_fast(tmp_path, capsys):

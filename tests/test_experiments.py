@@ -131,6 +131,14 @@ def test_sweep_needs_gamma_template():
         exp.run_dimension_sweep(cfg, dims=[1, 2])
 
 
+@pytest.mark.parametrize("checkpoints", [(40, 61), (-1, 60)], ids=["beyond-steps", "negative"])
+def test_sweep_rejects_unrecorded_plateau_checkpoint(checkpoints):
+    # A negative checkpoint must not wrap around to the last record.
+    cfg = small_gamma_config(chains=16, checkpoints=checkpoints, plateau_window=2)
+    with pytest.raises(InvalidParameters, match="was not recorded"):
+        exp.run_dimension_sweep(cfg, dims=[1])
+
+
 def test_sweep_small_dims_monotone():
     cfg = exp.ExperimentConfig(
         entropy="burg", target="gamma:a=5;b=1", schedule="constant:h=0.2",

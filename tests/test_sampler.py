@@ -183,15 +183,23 @@ def test_chains_share_one_record_buffer():
     # The memory guard counts 8 * chains * records * p bytes; per-chain
     # copies of the points or the schedule would multiply that.
     e, t = gamma_pair()
-    trajs = smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 20, 0, 3,
+    trace = smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 20, 0, 3,
                                     record_every=5, burn_in=5)
-    first = trajs[0]
-    assert first.points.base is not None
-    for tr in trajs:
-        assert tr.points.base is first.points.base
-        assert tr.steps is first.steps and tr.step_sizes is first.step_sizes
-    assert not first.steps.flags.writeable and not first.step_sizes.flags.writeable
-    np.testing.assert_array_equal(first.steps, [5, 10, 15, 20])
+    assert isinstance(trace, smp.Trace)
+    assert trace.points.shape == (3, 4, 1) and trace.points.flags.c_contiguous
+    assert trace.rejections.shape == (3,) and trace.rejections.dtype == np.int64
+    assert not trace.steps.flags.writeable and not trace.step_sizes.flags.writeable
+    np.testing.assert_array_equal(trace.steps, [5, 10, 15, 20])
+    assert len(trace) == 3
+    chains = list(trace)  # iteration stops after the last chain
+    assert len(chains) == 3
+    for c, tr in enumerate(chains):
+        assert tr.points.base is trace.points
+        np.testing.assert_array_equal(tr.points, trace.points[c])
+        assert tr.steps is trace.steps and tr.step_sizes is trace.step_sizes
+        assert tr.rejections == int(trace.rejections[c])
+    with pytest.raises(IndexError):
+        trace[3]
 
 
 def test_all_recorded_points_interior():
@@ -241,14 +249,13 @@ def test_noise_byte_budget_does_not_change_trajectories(monkeypatch):
     sch = smp.constant_schedule(0.2)
 
     def run():
-        trajs = smp.run_parallel_chains(e, t, sch, [1.0, 1.0], 50, base_seed=4, n_chains=8)
-        return np.stack([tr.points for tr in trajs]), [tr.rejections for tr in trajs]
+        return smp.run_parallel_chains(e, t, sch, [1.0, 1.0], 50, base_seed=4, n_chains=8)
 
-    default_points, default_rejections = run()
+    default = run()
     monkeypatch.setattr(smp, "_NOISE_BYTES", 8 * 8 * 2 * 3)  # three steps per chunk
-    points, rejections = run()
-    np.testing.assert_array_equal(points, default_points)
-    assert rejections == default_rejections
+    chunked = run()
+    np.testing.assert_array_equal(chunked.points, default.points)
+    np.testing.assert_array_equal(chunked.rejections, default.rejections)
 
 
 def test_single_chain_parallel_degenerates_to_run_chain():
@@ -262,16 +269,15 @@ def test_single_chain_parallel_degenerates_to_run_chain():
 
 def test_distinct_chains_get_distinct_noise():
     e, t = gauss_pair()
-    trajs = smp.run_parallel_chains(
+    trace = smp.run_parallel_chains(
         e, t, smp.constant_schedule(0.1), [0.0], 1, base_seed=0, n_chains=4
     )
-    first_steps = {float(tr.points[1, 0]) for tr in trajs}
-    assert len(first_steps) == 4
+    assert len(set(trace.points[:, 1, 0].tolist())) == 4
 
 
 def test_rejections_counted_and_reported():
     e, t = gamma_pair()
-    trajs = smp.run_parallel_chains(
+    trace = smp.run_parallel_chains(
         e,
         t,
         smp.constant_schedule(0.3),
@@ -281,7 +287,7 @@ def test_rejections_counted_and_reported():
         n_chains=8,
         override_gate=True,
     )
-    assert sum(tr.rejections for tr in trajs) > 0
+    assert trace.rejections.sum() > 0
 
 
 def _burg_p8_halvings(monkeypatch):
@@ -303,9 +309,9 @@ def test_rejections_count_every_failed_proposal(monkeypatch):
         return ok, x_new
 
     monkeypatch.setattr(smp, "_try_invert", counting)
-    trajs = _burg_p8_halvings(monkeypatch)
+    trace = _burg_p8_halvings(monkeypatch)
     assert sum(failed) > 0
-    assert sum(tr.rejections for tr in trajs) == sum(failed)
+    assert trace.rejections.sum() == sum(failed)
 
 
 def test_halving_path_points_are_pinned(monkeypatch):
@@ -344,17 +350,17 @@ def test_euclidean_reduction_bitwise_small():
     h = 0.1
     sch = smp.constant_schedule(h)
     x0 = np.array([1.0, -0.5])
-    trajs = smp.run_parallel_chains(e, t, sch, x0, n_steps, base_seed=3, n_chains=n_chains)
+    trace = smp.run_parallel_chains(e, t, sch, x0, n_steps, base_seed=3, n_chains=n_chains)
 
     children = np.random.SeedSequence(3).spawn(n_chains)
     coef = np.sqrt(2.0 * h)
-    for c, traj in enumerate(trajs):
+    for c in range(n_chains):
         xi = np.random.Generator(np.random.Philox(children[c])).standard_normal((n_steps, p))
         x = x0.copy()
         for k in range(n_steps):
             gf = x @ A
             x = x - h * gf + coef * xi[k]
-            np.testing.assert_array_equal(x, traj.points[k + 1])
+            np.testing.assert_array_equal(x, trace.points[c, k + 1])
 
 
 # ---------------------------------------------------------------- scaling
