@@ -22,8 +22,6 @@ from .sampler import (
     Trace,
     constant_schedule,
     harmonic_schedule,
-    hrlmc_step,
-    init_state,
     largest_admissible_a,
     reference_chain,
     run_chain,

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit, and the number parser for user input."""
 
+import math
+
 
 class HrlmcError(Exception):
     """Base class for all toolkit errors."""
@@ -70,8 +72,12 @@ class MethodUnavailable(HrlmcError):
 
 
 def parse_number(text, kind=float):
-    """``kind(text)``; malformed user input raises InvalidParameters, not ValueError."""
+    """``kind(text)``, finite; malformed user input raises InvalidParameters, not ValueError."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
-        raise InvalidParameters(f"cannot parse {text!r} as {kind.__name__}") from None
+        pass
+    else:
+        if kind is not float or math.isfinite(value):
+            return value
+    raise InvalidParameters(f"cannot parse {text!r} as a finite {kind.__name__}")

@@ -10,11 +10,13 @@ exactly the classical unadjusted Langevin update
 ``x - h grad_f(x) + sqrt(2 h) xi``; the kernel keeps that expression shape so
 the reduction is bit-for-bit.
 
-Randomness contract: every chain owns a Philox stream derived from
-(base_seed, chain index) through SeedSequence spawning and consumes exactly
-``dim`` normal draws per step.  Rejection retries draw from a separate
-per-chain child stream, so trajectories are reproducible regardless of how
-chains are batched or threaded.
+Randomness contract, for every entry point (``run_chain``,
+``run_parallel_chains`` and ``reference_chain``, which all step through one
+loop): every chain owns a Philox stream derived from (base_seed, chain index)
+through SeedSequence spawning and consumes exactly ``dim`` normal draws per
+step.  Rejection retries draw from a separate per-chain child stream, so
+trajectories are reproducible regardless of how chains are batched or
+threaded.
 
 The metric D2phi(x) is diagonal for every entropy here, so the noise term
 is the coordinate-wise product of its square-root diagonal with xi.
@@ -41,7 +43,6 @@ import numpy as np
 
 from .analysis import admissible_step_window, kappa_tilde
 from .errors import (
-    DualDomainViolation,
     InadmissibleStepSize,
     InvalidParameters,
     NumericalBreakdown,
@@ -65,11 +66,11 @@ class StepSchedule:
 
     def __post_init__(self):
         if self.kind == "constant":
-            if self.h is None or not self.h > 0.0:
-                raise InvalidParameters("constant schedule needs h > 0")
+            if self.h is None or not 0.0 < self.h < math.inf:
+                raise InvalidParameters("constant schedule needs a finite h > 0")
         elif self.kind == "harmonic":
-            if self.a is None or not self.a > 0.0:
-                raise InvalidParameters("harmonic schedule needs a > 0")
+            if self.a is None or not 0.0 < self.a < math.inf:
+                raise InvalidParameters("harmonic schedule needs a finite a > 0")
         else:
             raise InvalidParameters(f"unknown schedule kind {self.kind!r}")
 
@@ -101,78 +102,6 @@ def parse_schedule(spec: str) -> StepSchedule:
     if head == "harmonic" and key == "a":
         return harmonic_schedule(parse_number(val))
     raise InvalidParameters(f"cannot parse schedule {spec!r}")
-
-
-@dataclass
-class ChainState:
-    """Current point, cached dual point, step counter, and RNG streams."""
-
-    x: np.ndarray
-    y: np.ndarray
-    k: int
-    rng: np.random.Generator
-    retry_rng: np.random.Generator
-    rejections: int = 0
-
-
-def _retry_seedseq(ss: np.random.SeedSequence) -> np.random.SeedSequence:
-    # Same child as ss.spawn(1)[0] on a fresh SeedSequence, without mutating
-    # the caller's object (spawning twice would silently shift the stream).
-    return np.random.SeedSequence(
-        entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + (0,), pool_size=ss.pool_size
-    )
-
-
-def init_state(entropy, x0, seed) -> ChainState:
-    ss = _seed_sequence(seed)
-    retry_ss = _retry_seedseq(ss)
-    x0 = np.asarray(x0, dtype=float).reshape(entropy.dim)
-    y0 = entropy.grad(x0)
-    return ChainState(
-        x=x0,
-        y=y0,
-        k=0,
-        rng=np.random.Generator(np.random.Philox(ss)),
-        retry_rng=np.random.Generator(np.random.Philox(retry_ss)),
-    )
-
-
-def hrlmc_step(entropy, target, state: ChainState, h: float, noise=None) -> ChainState:
-    """Advance one chain by one step of size h.
-
-    With ``noise`` supplied the update is deterministic and a dual-domain
-    exit raises instead of retrying (testing hook).  Otherwise exactly
-    ``dim`` normals are consumed from the chain's main stream, plus retry
-    draws on rejection.
-    """
-    if not h > 0.0:
-        raise InvalidParameters("step size must be positive")
-    x = state.x[None, :]
-    y = state.y[None, :]
-    gf = target.grad(x)
-    # state.x passed a domain check: init_state's grad or _try_invert's test.
-    sq = entropy._hessian_sqrt_diag_unchecked(x)
-
-    if noise is not None:
-        xi = np.asarray(noise, dtype=float).reshape(1, entropy.dim)
-        y_new = _propose(y, gf, sq, h, xi)
-        ok, x_new = _try_invert(entropy, y_new)
-        if not ok[0]:
-            raise DualDomainViolation(
-                "deterministic step left the dual domain; "
-                "stochastic stepping would retry with fresh noise"
-            )
-        return ChainState(x_new[0], y_new[0], state.k + 1, state.rng, state.retry_rng,
-                          state.rejections)
-
-    xi = state.rng.standard_normal((1, entropy.dim))
-    y_new, x_new, rejections = _advance_rows(
-        entropy, y, gf, sq, h, xi, [state.retry_rng]
-    )
-    return ChainState(
-        x_new[0], y_new[0], state.k + 1, state.rng, state.retry_rng,
-        state.rejections + int(rejections[0]),
-    )
 
 
 @dataclass
@@ -233,6 +162,14 @@ def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
+def _retry_seedseq(ss: np.random.SeedSequence) -> np.random.SeedSequence:
+    # Same child as ss.spawn(1)[0] on a fresh SeedSequence, without mutating
+    # the caller's object (spawning twice would silently shift the stream).
+    return np.random.SeedSequence(
+        entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + (0,), pool_size=ss.pool_size
+    )
 
 
 def _run_chains(entropy, target, schedule, x0, n_steps, seedseqs, record_every, burn_in,
@@ -316,7 +253,9 @@ def reference_chain(entropy, target, s: float, substeps: int, seed,
 
     Draws L0 from the exact sampler and advances the HRLMC iterate with step
     s / substeps; returns (grad_phi(L0), grad_phi(L_s)) for the increment
-    test.  The ensemble shares one noise stream; determinism is per seed.
+    test.  Replica c is chain c of ``run_parallel_chains`` at this seed, so
+    it owns its noise and retry streams; the exact start draws from
+    ``default_rng(seed)``.
     """
     if not target.has_exact_sampler:
         raise Unavailable(f"{target.name}: reference chain needs an exact sampler")
@@ -324,20 +263,13 @@ def reference_chain(entropy, target, s: float, substeps: int, seed,
         raise InvalidParameters("substeps must be at least 100")
     if s < 0.0:
         raise InvalidParameters("time span must be nonnegative")
-    rng = np.random.default_rng(seed)
-    X = target.sample_exact(rng, n_replicas)
-    Y0 = entropy.grad(X)
+    X0 = target.sample_exact(np.random.default_rng(seed), n_replicas)
+    Y0 = entropy.grad(X0)
     if s == 0.0:
-        return Y0.copy(), Y0.copy()
-    h = s / substeps
-    Y = Y0.copy()
-    retry_rngs = [rng] * n_replicas  # retries are vanishing at fine steps
-    for _ in range(substeps):
-        gf = target.grad(X)
-        sq = entropy._hessian_sqrt_diag_unchecked(X)  # X passed entropy.grad's check
-        xi = rng.standard_normal((n_replicas, entropy.dim))
-        Y, X, _ = _advance_rows(entropy, Y, gf, sq, h, xi, retry_rngs)
-    return Y0, Y
+        return Y0, Y0.copy()
+    trace = run_parallel_chains(entropy, target, constant_schedule(s / substeps), X0, substeps,
+                                seed, n_replicas, burn_in=substeps, override_gate=True)
+    return Y0, entropy.grad(trace.points[:, -1])
 
 
 # ----------------------------------------------------------------- internals
@@ -363,20 +295,14 @@ def _propose(Y, gf, sq, h, xi):
 
 
 def _try_invert(entropy, y_new):
-    """(acceptance mask, inverted points); never raises on bad rows."""
-    ok = entropy.dual_contains(y_new)
-    if ok.all():
+    """(acceptance mask, inverted points); never raises or warns on bad rows.
+
+    Every map is elementwise, so inverting the rejected rows too leaves the
+    accepted ones bit-identical to inverting them alone.
+    """
+    with np.errstate(all="ignore"):
         x_new = entropy._grad_conjugate_unchecked(y_new)
-        return entropy.contains(x_new), x_new
-    x_new = np.full_like(y_new, np.nan)
-    if ok.any():
-        cand = entropy._grad_conjugate_unchecked(y_new[ok])
-        inside = entropy.contains(cand)
-        x_new[ok] = cand
-        full = np.zeros(y_new.shape[0], dtype=bool)
-        full[np.flatnonzero(ok)[inside]] = True
-        ok = full
-    return ok, x_new
+    return entropy.dual_contains(y_new) & entropy.contains(x_new), x_new
 
 
 def _advance_rows(entropy, Y, gf, sq, h, xi, retry_rngs):

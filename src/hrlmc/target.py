@@ -411,10 +411,7 @@ def parse_target(spec: str) -> Target:
         if m:
             diag = [parse_number(tok) for tok in m.group(1).split(",") if tok]
             return gaussian_target(np.diag(diag))
-        try:
-            return gaussian_target(np.array([[float(val)]]))
-        except ValueError:
-            raise InvalidParameters(f"cannot parse precision matrix {val!r}") from None
+        return gaussian_target(np.array([[parse_number(val)]]))
     if head == "gamma":
         fields = _parse_number_lists(rest)
         if set(fields) != {"a", "b"}:

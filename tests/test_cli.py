@@ -129,24 +129,37 @@ _CONFIG = ("entropy = burg\ntarget = gamma:a=5;b=1\nschedule = constant:h=0.2\n"
            "steps = 20\nchains = 16\ncheckpoints = 10,20\nplateau_window = 2\n")
 
 
-@pytest.mark.parametrize("argv, config", [
-    (_SAMPLE + ["--schedule", "constant:h=abc"], None),
-    (_SAMPLE + ["--h", "0.05", "--x0", "abc"], None),
-    (_SAMPLE + ["--h", "0.05", "--entropy", "mixed:a=x"], None),
-    (_SAMPLE + ["--h", "0.05", "--target", "gamma:a=q,b=1"], None),
+_UNPARSED = "error: cannot parse"
+
+
+@pytest.mark.parametrize("argv, config, err", [
+    (_SAMPLE + ["--schedule", "constant:h=abc"], None, _UNPARSED),
+    (_SAMPLE + ["--h", "0.05", "--x0", "abc"], None, _UNPARSED),
+    (_SAMPLE + ["--h", "0.05", "--entropy", "mixed:a=x"], None, _UNPARSED),
+    (_SAMPLE + ["--h", "0.05", "--target", "gamma:a=q,b=1"], None, _UNPARSED),
     (_SAMPLE + ["--h", "0.05", "--entropy", "euclidean", "--target", "gaussian:A=diag(1,x)"],
-     None),
-    (["experiment"], _CONFIG.replace("steps = 20", "steps = abc")),
-    (["sweep", "--dims", "1,x"], _CONFIG),
+     None, _UNPARSED),
+    (["experiment"], _CONFIG.replace("steps = 20", "steps = abc"), _UNPARSED),
+    (["sweep", "--dims", "1,x"], _CONFIG, _UNPARSED),
+    (_SAMPLE + ["--h", "inf", "--entropy", "mixed:a=0.3"], None,
+     "error: constant schedule needs a finite h > 0"),
+    (_SAMPLE + ["--schedule", "harmonic:a=inf"], None, _UNPARSED),
+    (_SAMPLE + ["--h", "0.05", "--x0", "nan"], None, _UNPARSED),
+    (_SAMPLE + ["--h", "0.05", "--target", "gamma:a=inf,b=1"], None, _UNPARSED),
+    (_SAMPLE + ["--h", "0.05", "--entropy", "euclidean", "--target", "gaussian:A=diag(1,inf)"],
+     None, _UNPARSED),
+    (_SAMPLE + ["--h", "0.05", "--entropy", "euclidean", "--target", "gaussian:A=inf"],
+     None, _UNPARSED),
 ], ids=["schedule", "x0", "mixed-weights", "target-list", "gaussian-diag", "config-int",
-        "sweep-dims"])
-def test_malformed_number_is_invalid_input(argv, config, tmp_path, capsys):
+        "sweep-dims", "h-inf", "harmonic-inf", "x0-nan", "gamma-inf", "gaussian-diag-inf",
+        "gaussian-scalar-inf"])
+def test_malformed_number_is_invalid_input(argv, config, err, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "exp.ini"
         path.write_text(config)
         argv = [*argv, "--config", str(path)]
     assert run_cli([*argv, "--out", str(tmp_path / "out.csv")]) == 1
-    assert capsys.readouterr().err.startswith("error: cannot parse")
+    assert capsys.readouterr().err.startswith(err)
     assert not (tmp_path / "out.csv").exists()
 
 

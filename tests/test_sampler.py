@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hrlmc import analysis, entropy as ent, sampler as smp, target as tgt
 from hrlmc.errors import (
+    DomainViolation,
     DualDomainViolation,
     InadmissibleStepSize,
     InvalidParameters,
@@ -28,58 +30,95 @@ def gauss_pair(p=1, diag=None):
 # ------------------------------------------------------------ single steps
 
 
+def _step(e, t, x, h, xi):
+    """One proposal from x with fixed noise xi: (accepted, y', x')."""
+    x = np.array([x], dtype=float)
+    y = smp._propose(e.grad(x), t.grad(x), e.hessian_sqrt_diag(x), h,
+                     np.array([xi], dtype=float))
+    ok, x_new = smp._try_invert(e, y)
+    return bool(ok[0]), y[0], x_new[0]
+
+
 def test_step_euclidean_reduces_to_gradient_descent():
     e, t = gauss_pair()
-    state = smp.init_state(e, [1.0], seed=0)
-    new = smp.hrlmc_step(e, t, state, h=0.1, noise=[0.0])
-    assert new.x[0] == pytest.approx(0.9, abs=0)
-    assert new.k == 1
+    ok, _, x = _step(e, t, [1.0], 0.1, [0.0])
+    assert ok
+    assert x[0] == pytest.approx(0.9, abs=0)
 
 
 def test_step_burg_gamma_drift_only():
     e, t = gamma_pair()
-    state = smp.init_state(e, [1.0], seed=0)
-    new = smp.hrlmc_step(e, t, state, h=0.1, noise=[0.0])
+    ok, y, x = _step(e, t, [1.0], 0.1, [0.0])
     # y = -1, grad f(1) = -3, y' = -0.7, x' = 10/7
-    assert new.y[0] == pytest.approx(-0.7, rel=1e-15)
-    assert new.x[0] == pytest.approx(10.0 / 7.0, rel=1e-15)
+    assert ok
+    assert y[0] == pytest.approx(-0.7, rel=1e-15)
+    assert x[0] == pytest.approx(10.0 / 7.0, rel=1e-15)
 
 
 def test_step_burg_gamma_with_unit_noise():
     e, t = gamma_pair()
-    state = smp.init_state(e, [1.0], seed=0)
-    new = smp.hrlmc_step(e, t, state, h=0.1, noise=[1.0])
+    ok, y, x = _step(e, t, [1.0], 0.1, [1.0])
     y_expect = -1.0 - 0.1 * (-3.0) + math.sqrt(0.2) * 1.0
-    assert new.y[0] == pytest.approx(y_expect, rel=1e-15)
-    assert new.x[0] == pytest.approx(-1.0 / y_expect, rel=1e-15)
-    assert new.x[0] == pytest.approx(3.9558, rel=1e-4)
+    assert ok
+    assert y[0] == pytest.approx(y_expect, rel=1e-15)
+    assert x[0] == pytest.approx(-1.0 / y_expect, rel=1e-15)
+    assert x[0] == pytest.approx(3.9558, rel=1e-4)
 
 
-def test_step_deterministic_hook_raises_on_dual_exit():
+def test_step_dual_exit_is_rejected():
+    # y = -0.1, grad f(10) = 0.6: y' = -0.28 + sqrt(0.6) > 0 leaves the dual domain.
     e, t = gamma_pair()
-    state = smp.init_state(e, [10.0], seed=0)
-    with pytest.raises(DualDomainViolation):
-        smp.hrlmc_step(e, t, state, h=0.3, noise=[10.0])
+    ok, y, _ = _step(e, t, [10.0], 0.3, [10.0])
+    assert y[0] > 0.0
+    assert not ok
 
 
 def test_step_keeps_dual_cache_consistent():
     e, t = gamma_pair()
-    state = smp.init_state(e, [2.0], seed=3)
+    ss = np.random.SeedSequence(3)
+    rng = np.random.Generator(np.random.Philox(ss))
+    retry_rngs = [np.random.Generator(np.random.Philox(smp._retry_seedseq(ss)))]
+    x = np.array([[2.0]])
+    y = e.grad(x)
     for _ in range(20):
-        state = smp.hrlmc_step(e, t, state, h=0.05)
-        assert np.linalg.norm(state.y - e.grad(state.x)) <= 1e-10 * (
-            1.0 + np.linalg.norm(state.y)
-        )
+        y, x, _ = smp._advance_rows(e, y, t.grad(x), e.hessian_sqrt_diag(x), 0.05,
+                                    rng.standard_normal((1, 1)), retry_rngs)
+        assert np.linalg.norm(y - e.grad(x)) <= 1e-10 * (1.0 + np.linalg.norm(y))
 
 
-def test_stepwise_equals_run_chain():
-    e, t = gamma_pair()
-    seed = 77
-    traj = smp.run_chain(e, t, smp.constant_schedule(0.05), [1.0], 50, seed)
-    state = smp.init_state(e, [1.0], seed=seed)
-    for _ in range(50):
-        state = smp.hrlmc_step(e, t, state, h=0.05)
-    np.testing.assert_array_equal(state.x, traj.points[-1])
+@pytest.mark.parametrize("e", [*ent.register_table1_entropies(dim=2), ent.boltzmann_shannon(2),
+                               ent.burg(2).scaled(2.5), ent.logit_barrier(2).scaled(0.5)],
+                         ids=lambda e: e.name)
+def test_try_invert_masks_rows_as_if_inverted_alone(e):
+    # Interior rows, dual-domain exits (a positive Burg coordinate), guard-band
+    # and overflowing images (huge |y|), and non-finite rows, in one batch.
+    rng = np.random.default_rng(0)
+    interior = e.grad(e.sample_interior(rng, 6))
+    edge = [1e-300, 0.0, 0.5, 40.0, 800.0, 1e13, 1e300, math.inf, math.nan]
+    edge += [-v for v in edge]
+    rows = [interior]
+    for v in edge:
+        rows.append([[v, interior[0, 1]], [interior[1, 0], v], [v, v]])
+    y = np.concatenate(rows)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok, x = smp._try_invert(e, y)
+
+    assert ok.shape == (len(y),) and x.shape == y.shape
+    expected = np.zeros(len(y), dtype=bool)
+    for i in range(len(y)):
+        try:
+            with np.errstate(all="ignore"):
+                alone = e.grad_conjugate(y[i:i + 1])
+        except (DomainViolation, DualDomainViolation):
+            continue
+        expected[i] = True
+        np.testing.assert_array_equal(x[i], alone[0])
+    np.testing.assert_array_equal(ok, expected)
+    assert ok[:len(interior)].all()
+    assert not ok[~np.isfinite(y).all(axis=1)].any()
+    assert not ok[len(interior):].all()
 
 
 # --------------------------------------------------------------- schedules
@@ -92,6 +131,14 @@ def test_schedule_validation():
         smp.harmonic_schedule(-1.0)
     with pytest.raises(InvalidParameters):
         smp.StepSchedule("geometric", h=0.1)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_schedule_rejects_non_finite(value):
+    with pytest.raises(InvalidParameters):
+        smp.constant_schedule(value)
+    with pytest.raises(InvalidParameters):
+        smp.harmonic_schedule(value)
 
 
 def test_harmonic_schedule_decreasing():
@@ -411,6 +458,27 @@ def test_reference_chain_needs_sampler_and_substeps():
         smp.reference_chain(e, bare, s=0.01, substeps=100, seed=0)
 
 
+def test_reference_chain_replicas_own_their_streams():
+    # h = 0.2 rejects often enough that the retry streams are exercised too.
+    e, t = gamma_pair()
+    s, substeps, seed, n = 20.0, 100, 6, 64
+    y0, ys = smp.reference_chain(e, t, s, substeps, seed, n_replicas=n)
+    y0_16, ys_16 = smp.reference_chain(e, t, s, substeps, seed, n_replicas=16)
+    np.testing.assert_array_equal(y0[:16], y0_16)
+    np.testing.assert_array_equal(ys[:16], ys_16)
+
+    x0 = t.sample_exact(np.random.default_rng(seed), n)
+    np.testing.assert_array_equal(y0, e.grad(x0))
+    children = np.random.SeedSequence(seed).spawn(n)
+    rejections = 0
+    for c in range(n):
+        solo = smp.run_chain(e, t, smp.constant_schedule(s / substeps), x0[c], substeps,
+                             seed=children[c], override_gate=True)
+        np.testing.assert_array_equal(ys[c], e.grad(solo.points[-1]))
+        rejections += solo.rejections
+    assert rejections > 0
+
+
 def test_reference_chain_increment_bound_euclidean():
     # Gaussian A = I: M = R = 1 and the increment bound is explicit.
     e, t = gauss_pair(p=1)
@@ -425,20 +493,17 @@ def test_reference_chain_increment_bound_euclidean():
 
 def test_step_consumes_exactly_dim_draws():
     e, t = gauss_pair(diag=[1.0, 2.0])
-    seed = np.random.SeedSequence(99)
-    state = smp.init_state(e, [0.4, -0.2], seed=seed)
-    stepped = smp.hrlmc_step(e, t, state, h=0.1)
-    # replay: an identical stream must yield the same p draws the step used
+    traj = smp.run_chain(e, t, smp.constant_schedule(0.1), [0.4, -0.2], 2,
+                         seed=np.random.SeedSequence(99))
+    # replay: an identical stream must yield the p draws of each step, so
+    # the second point only matches if the first step took exactly p
     twin = np.random.Generator(np.random.Philox(np.random.SeedSequence(99)))
-    xi = twin.standard_normal((1, 2))
     A = np.diag([1.0, 2.0])
     x = np.array([[0.4, -0.2]])
-    y_expect = x - 0.1 * (x @ A) + np.sqrt(2.0 * 0.1) * (np.ones_like(x) * xi)
-    np.testing.assert_array_equal(stepped.y, y_expect[0])
-    # and the streams are aligned afterwards: next draws agree
-    np.testing.assert_array_equal(
-        state.rng.standard_normal(3), twin.standard_normal(3)
-    )
+    for k in (1, 2):
+        xi = twin.standard_normal((1, 2))
+        x = x - 0.1 * (x @ A) + np.sqrt(2.0 * 0.1) * (np.ones_like(x) * xi)
+        np.testing.assert_array_equal(traj.points[k], x[0])
 
 
 def test_gate_only_applies_to_the_paired_entropy():
