@@ -190,8 +190,19 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1 (invalid input); 2 is the gate's code.
+
+    Subparsers are built with the parent's class, so they inherit this.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hrlmc",
         description="Hessian Riemannian Langevin Monte Carlo sampling toolkit",
     )

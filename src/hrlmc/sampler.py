@@ -14,9 +14,12 @@ Randomness contract, for every entry point (``run_chain``,
 ``run_parallel_chains`` and ``reference_chain``, which all step through one
 loop): every chain owns a Philox stream derived from (base_seed, chain index)
 through SeedSequence spawning and consumes exactly ``dim`` normal draws per
-step.  Rejection retries draw from a separate per-chain child stream, so
-trajectories are reproducible regardless of how chains are batched or
-threaded.
+step.  Rejection retries draw ``dim`` normals per try from a separate
+per-chain child stream, built at the chain's first rejection and read in
+buffered blocks of ``_RETRY_CHUNK`` tries; a stream drawn in several calls
+yields the same numbers as one call, so neither the lazy build nor the
+buffer changes a number, and trajectories are reproducible regardless of
+how chains are batched or threaded.
 
 The metric D2phi(x) is diagonal for every entropy here, so the noise term
 is the coordinate-wise product of its square-root diagonal with xi.
@@ -54,6 +57,7 @@ MAX_RETRIES = 50
 MAX_HALVINGS = 40
 _NOISE_CHUNK = 4096  # steps of noise pre-generated per chain at a time
 _NOISE_BYTES = 64 << 20  # cap on one chunk of noise across all chains
+_RETRY_CHUNK = 8  # retry tries of noise pre-drawn per rejecting chain at a time
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,7 @@ def _run_chains(entropy, target, schedule, x0, n_steps, seedseqs, record_every, 
         raise InvalidParameters("x0 must be strictly interior")
     Y = entropy.grad(X)
 
-    retry_rngs = [np.random.Generator(np.random.Philox(_retry_seedseq(ss))) for ss in seedseqs]
+    retry = _RetryStreams(seedseqs, p)
     main_rngs = [np.random.Generator(np.random.Philox(ss)) for ss in seedseqs]
 
     rec_points = np.empty((n_chains, len(record_ks), p))
@@ -222,7 +226,7 @@ def _run_chains(entropy, target, schedule, x0, n_steps, seedseqs, record_every, 
             # X passed a domain check: the x0 check or the acceptance test
             # in _try_invert.
             sq = entropy._hessian_sqrt_diag_unchecked(X)
-            Y, X, rej = _advance_rows(entropy, Y, gf, sq, h, noise[:, j, :], retry_rngs)
+            Y, X, rej = _advance_rows(entropy, Y, gf, sq, h, noise[:, j, :], retry)
             rejections += rej
             k += 1
             if rec_pos < len(record_ks) and record_ks[rec_pos] == k:
@@ -305,9 +309,8 @@ def _try_invert(entropy, y_new):
     return entropy.dual_contains(y_new) & entropy.contains(x_new), x_new
 
 
-def _advance_rows(entropy, Y, gf, sq, h, xi, retry_rngs):
+def _advance_rows(entropy, Y, gf, sq, h, xi, retry):
     """One step for every row with the rejection/step-halving policy."""
-    p = Y.shape[-1]
     y_new = _propose(Y, gf, sq, h, xi)
     ok, x_new = _try_invert(entropy, y_new)
     rejections = np.zeros(Y.shape[0], dtype=np.int64)
@@ -321,7 +324,7 @@ def _advance_rows(entropy, Y, gf, sq, h, xi, retry_rngs):
     bad = np.flatnonzero(~ok)
     for t in range(MAX_RETRIES * (MAX_HALVINGS + 1)):
         rejections[bad] += 1
-        xi_b = np.concatenate([retry_rngs[c].standard_normal((1, p)) for c in bad])
+        xi_b = retry.draw(bad)
         h_t = h * 0.5 ** (t // MAX_RETRIES)
         y_b = _propose(Y[bad], gf[bad], sq[bad], h_t, xi_b)
         ok_b, x_b = _try_invert(entropy, y_b)
@@ -334,6 +337,35 @@ def _advance_rows(entropy, Y, gf, sq, h, xi, retry_rngs):
     raise NumericalBreakdown(
         f"chain row {bad[0]}: no admissible step after {MAX_HALVINGS} halvings"
     )
+
+
+class _RetryStreams:
+    """Per-row retry normals: row c reads Philox(_retry_seedseq(seedseqs[c])) in order.
+
+    A row's generator is built at its first draw, and its normals come from
+    a buffer of ``_RETRY_CHUNK`` pre-drawn tries refilled from the same
+    stream, so most tries are one gather instead of a generator call per row.
+    """
+
+    def __init__(self, seedseqs, p):
+        self._seedseqs = seedseqs
+        self._rngs = [None] * len(seedseqs)
+        self._buf = np.empty((len(seedseqs), _RETRY_CHUNK, p))
+        # Next unread try per row; _RETRY_CHUNK marks an empty buffer.
+        self._next = np.full(len(seedseqs), _RETRY_CHUNK, dtype=np.intp)
+
+    def draw(self, rows) -> np.ndarray:
+        """The next try's ``(len(rows), p)`` normals; ``rows`` are distinct."""
+        spent = rows[self._next[rows] == self._buf.shape[1]]
+        for c in spent:
+            if self._rngs[c] is None:
+                self._rngs[c] = np.random.Generator(
+                    np.random.Philox(_retry_seedseq(self._seedseqs[c])))
+            self._rngs[c].standard_normal(self._buf.shape[1:], out=self._buf[c])
+        self._next[spent] = 0
+        out = self._buf[rows, self._next[rows]]
+        self._next[rows] += 1
+        return out
 
 
 def _gate_window(entropy, target):

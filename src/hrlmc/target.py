@@ -198,8 +198,13 @@ def gamma_target(a, b) -> Target:
     def hessian(x):
         return _entropy._diag_embed((a - 1.0) / (x * x))
 
+    # numpy draws gamma(shape, scale) as scale * standard_gamma(shape), so this
+    # is bitwise rng.gamma(shape=a, scale=1/b), without its two-array path.
+    shape = float(a[0]) if np.all(a == a[0]) else a
+    scale = 1.0 / b
+
     def sampler(rng, n):
-        return rng.gamma(shape=a, scale=1.0 / b, size=(n, p))
+        return rng.standard_gamma(shape, size=(n, p)) * scale
 
     r_norm = float(np.sum(b * b / ((a - 1.0) * (a - 2.0))))
     r_tab = float(np.sum(np.exp(_lgamma(a - 2.0) - (a - 2.0) * np.log(b))))

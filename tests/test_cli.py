@@ -163,6 +163,29 @@ def test_malformed_number_is_invalid_input(argv, config, err, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("argv, err", [
+    (_SAMPLE + ["--h", "abc"], "argument --h: invalid float value: 'abc'"),
+    (_SAMPLE + ["--h", "0.05", "--chains", "x"], "argument --chains: invalid int value: 'x'"),
+    (_SAMPLE[:-2] + ["--h", "0.05"], "the following arguments are required: --steps"),
+], ids=["h", "chains", "missing-steps"])
+def test_usage_error_is_invalid_input(argv, err, tmp_path, capsys):
+    # Exit 2 is the assumption gate's code, so argparse's usage errors exit 1.
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: hrlmc sample")
+    assert f"hrlmc sample: error: {err}" in stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sample", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hrlmc sample")
+
+
 def test_sample_oversized_record_fails_fast(tmp_path, capsys):
     out = tmp_path / "t.csv"
     code = run_cli([

@@ -1,5 +1,6 @@
 """Experiment-layer tests: config round trips, traces, sweeps, plateaus."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -90,6 +91,21 @@ def test_experiment_csv_deterministic():
     b = exp.run_convergence_experiment(cfg).to_csv()
     assert a == b
     assert a.splitlines()[0] == "checkpoint_k,w2phi_median,w2phi_iqr,bound_value,floor"
+
+
+def test_convergence_distances_are_pinned():
+    # 1024 Burg/Gamma(5,1) chains at h=0.05 from x0=0.2 reject 73 proposals,
+    # so this covers the retry streams, the exact reference clouds and the
+    # exact-1d distances together (not the quadrature bits of the bound).
+    cfg = small_gamma_config(steps=40, chains=1024, checkpoints=(0, 5, 10, 20, 40),
+                             base_seed=3, reference_seeds=8, assumption_pairs=200)
+    res = exp.run_convergence_experiment(cfg)
+    assert res.total_rejections == 73
+    stacked = np.stack([res.distances[k] for k in res.checkpoints])
+    assert stacked.shape == (5, 8) and stacked.dtype == np.float64
+    assert hashlib.sha256(stacked.tobytes()).hexdigest() == (
+        "c24140b9ae2aa39418be2a51859f77bf9effe11e6643244202acc3c7fc9e4a37"
+    )
 
 
 def test_experiment_validates_checkpoints():

@@ -77,12 +77,12 @@ def test_step_keeps_dual_cache_consistent():
     e, t = gamma_pair()
     ss = np.random.SeedSequence(3)
     rng = np.random.Generator(np.random.Philox(ss))
-    retry_rngs = [np.random.Generator(np.random.Philox(smp._retry_seedseq(ss)))]
+    retry = smp._RetryStreams([ss], 1)
     x = np.array([[2.0]])
     y = e.grad(x)
     for _ in range(20):
         y, x, _ = smp._advance_rows(e, y, t.grad(x), e.hessian_sqrt_diag(x), 0.05,
-                                    rng.standard_normal((1, 1)), retry_rngs)
+                                    rng.standard_normal((1, 1)), retry)
         assert np.linalg.norm(y - e.grad(x)) <= 1e-10 * (1.0 + np.linalg.norm(y))
 
 
@@ -303,6 +303,33 @@ def test_noise_byte_budget_does_not_change_trajectories(monkeypatch):
     chunked = run()
     np.testing.assert_array_equal(chunked.points, default.points)
     np.testing.assert_array_equal(chunked.rejections, default.rejections)
+
+
+@pytest.mark.parametrize("h, x0, rejecting", [(0.05, 0.2, True), (0.01, 5.0, False)],
+                         ids=["with-rejections", "without"])
+def test_retry_stream_built_only_for_rejecting_rows(monkeypatch, h, x0, rejecting):
+    built = []
+    retry_seedseq = smp._retry_seedseq
+
+    def counting(ss):
+        built.append(ss)
+        return retry_seedseq(ss)
+
+    monkeypatch.setattr(smp, "_retry_seedseq", counting)
+    e, t = gamma_pair()
+    trace = smp.run_parallel_chains(e, t, smp.constant_schedule(h), [x0], 40,
+                                    base_seed=0, n_chains=512)
+    assert (trace.rejections.sum() > 0) == rejecting
+    assert len(built) == int((trace.rejections > 0).sum())
+
+
+@pytest.mark.parametrize("chunk", [1, 1000])
+def test_retry_buffer_length_does_not_change_trajectories(monkeypatch, chunk):
+    default = _burg_p8_halvings(monkeypatch)
+    monkeypatch.setattr(smp, "_RETRY_CHUNK", chunk)
+    buffered = _burg_p8_halvings(monkeypatch)
+    np.testing.assert_array_equal(buffered.points, default.points)
+    np.testing.assert_array_equal(buffered.rejections, default.rejections)
 
 
 def test_single_chain_parallel_degenerates_to_run_chain():

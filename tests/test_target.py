@@ -135,6 +135,21 @@ def test_exact_sample_gamma_mean():
     assert abs(draws.mean() - 5.0) <= 5.0 * math.sqrt(5.0) / math.sqrt(n)
 
 
+@pytest.mark.parametrize("a, b", [
+    ([5.0], [1.0]), ([4.5], [2.5]),
+    ([5.0] * 3, [1.0] * 3), ([3.5, 5.0, 12.0], [0.5, 1.0, 3.0]), ([5.0] * 3, [1.0, 2.0, 0.25]),
+], ids=["p1", "p1-rate", "p3-uniform", "p3-mixed", "p3-shared-shape"])
+def test_exact_sample_gamma_matches_numpy_gamma(a, b):
+    # The sampler draws standard_gamma and rescales; numpy's gamma is
+    # scale * standard_gamma(shape), so the two agree bit for bit.
+    gamma = tgt.gamma_target(a, b)
+    for seed, n in [(0, 1), (7, 4096)]:
+        got = gamma.sample_exact(np.random.default_rng(seed), n)
+        expect = np.random.default_rng(seed).gamma(
+            shape=np.asarray(a), scale=1.0 / np.asarray(b), size=(n, len(a)))
+        assert got.tobytes() == expect.tobytes()
+
+
 def test_exact_sample_beta_symmetric_mean():
     beta = tgt.beta_target(4.0, 4.0)
     n = 100_000
