@@ -31,7 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EpsOutOfRange, InadmissibleRegime, InvalidParameters, StepOutOfWindow
+from .errors import (
+    EpsOutOfRange,
+    InadmissibleRegime,
+    InvalidParameters,
+    StepOutOfWindow,
+    check_seed,
+)
 from .target import r_constant
 
 _LD = np.longdouble
@@ -149,7 +155,7 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
     displacement below 1e-12 are skipped as degenerate.
     """
     _check_dims(entropy, target)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     x1 = entropy.sample_interior(rng, n_pairs)
     x2 = entropy.sample_interior(rng, n_pairs)
 
@@ -431,7 +437,7 @@ def check_baillon_haddad(entropy, target, n_pairs: int = 10_000, seed: int = 0,
     a_coeff = 1.0 / (m + M)
     b_coeff = (4.0 * m * M - 4.0 * M * delta - delta * delta) / (4.0 * (m + M))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     x1 = entropy.sample_interior(rng, n_pairs)
     x2 = entropy.sample_interior(rng, n_pairs)
     dg = (entropy.grad(x1) - entropy.grad(x2)).astype(_LD)

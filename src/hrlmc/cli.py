@@ -9,8 +9,10 @@ invalid input, 2 assumption-gate failure, 3 numerical breakdown.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .errors import (
     HrlmcError,
     InadmissibleRegime,
     InadmissibleStepSize,
+    InvalidParameters,
     NumericalBreakdown,
     StepOutOfWindow,
     parse_number,
@@ -46,6 +49,15 @@ def _write_text(path, text):
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _read_input(path) -> str:
+    """The text of an input file; one that cannot be read is invalid input."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as err:
+        raise InvalidParameters(f"cannot read {path}: {err.strerror or err}") from err
 
 
 def _json_text(obj) -> str:
@@ -113,7 +125,16 @@ def _cmd_sample(args) -> int:
 
 
 def _load_cloud(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    text = _read_input(path)
+    try:
+        with warnings.catch_warnings():
+            # An empty cloud is reported below as an error, not as a warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(io.StringIO(text), delimiter=",", comments="#", ndmin=2)
+    except ValueError as err:
+        raise InvalidParameters(f"{path}: {err}") from err
+    if data.size == 0:
+        raise InvalidParameters(f"{path} holds no points")
     return data
 
 
@@ -153,8 +174,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    with open(args.report) as fh:
-        report = analysis.AssumptionReport.from_dict(json.load(fh))
+    try:
+        saved = json.loads(_read_input(args.report))
+    except json.JSONDecodeError as err:
+        raise InvalidParameters(f"{args.report} is not a JSON report: {err}") from err
+    report = analysis.AssumptionReport.from_dict(saved)
     bound = analysis.bound_report(report, h=args.h, p=args.p, w0=args.w0)
     payload = bound.to_dict()
     if args.eps is not None:
@@ -168,7 +192,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
+    config = ExperimentConfig.from_text(_read_input(args.config))
     result = run_convergence_experiment(config)
     out = args.out or config.out
     _write_text(out, result.to_csv())
@@ -181,7 +205,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
+    config = ExperimentConfig.from_text(_read_input(args.config))
     dims = [parse_number(tok, int) for tok in args.dims.split(",")] if args.dims else None
     result = run_dimension_sweep(config, dims)
     out = args.out or config.out

@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, and the number parser for user input."""
+"""Exception types shared across the toolkit, and the parsers and checks for user input."""
 
 import math
+import numbers
 
 
 class HrlmcError(Exception):
@@ -81,3 +82,18 @@ def parse_number(text, kind=float):
         if kind is not float or math.isfinite(value):
             return value
     raise InvalidParameters(f"cannot parse {text!r} as a finite {kind.__name__}")
+
+
+def check_seed(seed):
+    """``seed`` unchanged unless an integer in it is negative, which raises InvalidParameters.
+
+    numpy's seeding raises a bare ValueError for a negative integer; every
+    seed from user input passes through here first.
+    """
+    if isinstance(seed, numbers.Integral):
+        if seed < 0:
+            raise InvalidParameters(f"a seed must be a non-negative integer, got {int(seed)}")
+    elif isinstance(seed, (list, tuple)):
+        for item in seed:
+            check_seed(item)
+    return seed

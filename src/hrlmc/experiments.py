@@ -13,9 +13,11 @@ otherwise masquerade as sampler bias.  The debiased plateau is
 sqrt(max(median d^2(chain, exact) - median d^2(exact, exact'), 0)).
 
 Distance tasks, one per (checkpoint, reference seed) pair, are independent
-and pure.  When they solve assignments they run in forked worker processes,
-up to one per usable CPU; each result returns to its own slot, so the output
-does not depend on the number of workers.
+and pure.  Each checkpoint cloud is pushed through the mirror map once,
+before the tasks, and every task embeds only its own reference cloud.  When
+the tasks solve assignments they run in forked worker processes, up to one
+per usable CPU; each result returns to its own slot, so the output does not
+depend on the number of workers.
 
 Every experiment is a pure function of its config; re-running writes
 byte-identical CSV output (floats serialized with 17 significant digits).
@@ -26,14 +28,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import metrics
 from .analysis import bound_report, estimate_constants
 from .entropy import parse_entropy
-from .errors import InvalidParameters, parse_number
+from .errors import InvalidParameters, check_seed, parse_number
 from .sampler import constant_schedule, parse_schedule, run_parallel_chains
 from .target import gamma_target, parse_target
 
@@ -72,6 +74,9 @@ class ExperimentConfig:
     dims: tuple = ()
     out: str = ""
 
+    def __post_init__(self):
+        check_seed(self.base_seed)
+
     def to_text(self) -> str:
         lines = []
         for f in fields(self):
@@ -100,6 +105,9 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise InvalidParameters(f"unknown config keys: {sorted(unknown)}")
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(raw)
+        if missing:
+            raise InvalidParameters(f"config is missing keys: {sorted(missing)}")
         kwargs = {}
         for key, val in raw.items():
             if key in _INT_FIELDS:
@@ -168,14 +176,18 @@ def _map_distance_tasks(task, n_tasks, method):
         return list(pool.map(_run_installed, range(n_tasks)))
 
 
-def _checkpoint_clouds(trace, checkpoints):
+def _embedded_clouds(entropy, trace, checkpoints):
+    """Each checkpoint's chain cloud pushed through the mirror map once, by step k.
+
+    Every reference cloud of a checkpoint is compared with the one embedding.
+    """
     # Look records up by step, never index by k: a negative k would wrap.
     index = {int(k): i for i, k in enumerate(trace.steps)}
     clouds = {}
     for k in checkpoints:
         if int(k) not in index:
             raise InvalidParameters(f"checkpoint {k} was not recorded")
-        clouds[int(k)] = trace.points[:, index[int(k)]]
+        clouds[int(k)] = metrics.mirror_embed(entropy, trace.points[:, index[int(k)]])
     return clouds
 
 
@@ -232,7 +244,7 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
     trace = run_parallel_chains(
         entropy, target, schedule, x0, config.steps, config.base_seed, config.chains
     )
-    clouds = _checkpoint_clouds(trace, config.checkpoints)
+    clouds = _embedded_clouds(entropy, trace, config.checkpoints)
 
     reps = config.reference_seeds
     tasks = [(k, rep) for k in clouds for rep in range(reps)]
@@ -240,7 +252,8 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
     def distance(i):
         k, rep = tasks[i]
         ref = _reference_cloud(target, config.chains, config.base_seed, 7733, k, rep)
-        return metrics.w2phi(entropy, clouds[k], ref, method=config.distance_method).value
+        return metrics.w2_embedded(clouds[k], metrics.mirror_embed(entropy, ref),
+                                   method=config.distance_method).value
 
     method = metrics.resolve_method(
         config.distance_method, config.chains, config.chains, target.dim
@@ -345,13 +358,14 @@ def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
             entropy, target, schedule, x0, config.steps,
             config.base_seed + 101 * p, config.chains,
         )
-        clouds = _checkpoint_clouds(trace, plateau_ks)
+        clouds = _embedded_clouds(entropy, trace, plateau_ks)
         tasks = [(k, rep) for k in plateau_ks for rep in range(reps)]
 
         def squared_distances(i):
             k, rep = tasks[i]
             ref = _reference_cloud(target, config.chains, config.base_seed, 7741 + p, k, rep)
-            d = metrics.w2phi(entropy, clouds[k], ref, method=config.distance_method)
+            d = metrics.w2_embedded(clouds[k], metrics.mirror_embed(entropy, ref),
+                                    method=config.distance_method)
             ref_b = _reference_cloud(target, config.chains, config.base_seed, 8641 + p, k, rep)
             ref_c = _reference_cloud(target, config.chains, config.base_seed, 8647 + p, k, rep)
             d0 = metrics.w2phi(entropy, ref_b, ref_c, method=config.distance_method)

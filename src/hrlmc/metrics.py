@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .errors import MethodUnavailable, SizeMismatch, Unavailable
+from .errors import MethodUnavailable, SizeMismatch, Unavailable, check_seed
 
 ASSIGNMENT_MAX_POINTS = 2048
 AUTO_ASSIGNMENT_MAX = 512
@@ -74,8 +74,16 @@ class DistanceEstimate:
 def w2phi(entropy, mu, nu, method: str = "auto", n_projections: int = DEFAULT_PROJECTIONS,
           seed: int = 0) -> DistanceEstimate:
     """Mirror 2-Wasserstein distance between two empirical measures."""
-    a = mirror_embed(entropy, mu)
-    b = mirror_embed(entropy, nu)
+    return w2_embedded(mirror_embed(entropy, mu), mirror_embed(entropy, nu), method,
+                       n_projections, seed)
+
+
+def w2_embedded(a, b, method: str = "auto", n_projections: int = DEFAULT_PROJECTIONS,
+                seed: int = 0) -> DistanceEstimate:
+    """``w2phi`` between clouds already pushed through the mirror map (``mirror_embed``).
+
+    A cloud compared with many others is embedded once and passed here.
+    """
     method = resolve_method(method, a.shape[0], b.shape[0], a.shape[1])
     if method == "exact-1d":
         return _w2_exact_1d(a, b)
@@ -125,7 +133,7 @@ def _w2_assignment(a, b):
 
 
 def _w2_sliced(a, b, n_projections, seed):
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     p = a.shape[1]
     dirs = rng.standard_normal((n_projections, p))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -13,12 +13,15 @@ the reduction is bit-for-bit.
 Randomness contract, for every entry point (``run_chain``,
 ``run_parallel_chains`` and ``reference_chain``, which all step through one
 loop): every chain owns a Philox stream derived from (base_seed, chain index)
-through SeedSequence spawning and consumes exactly ``dim`` normal draws per
-step.  Rejection retries draw ``dim`` normals per try from a separate
-per-chain child stream, built at the chain's first rejection and read in
-buffered blocks of ``_RETRY_CHUNK`` tries; a stream drawn in several calls
-yields the same numbers as one call, so neither the lazy build nor the
-buffer changes a number, and trajectories are reproducible regardless of
+exactly as SeedSequence spawning derives it, and consumes exactly ``dim``
+normal draws per step.  Rejection retries draw ``dim`` normals per try from a
+separate per-chain child stream, started at the chain's first rejection and
+read in buffered blocks of ``_RETRY_CHUNK`` tries.  The Philox keys come from
+numpy's SeedSequence hash, computed for all chains at once (``_philox_keys``),
+and one Generator serves every stream of a call: its state is set to a row's
+position before the row draws.  A stream drawn in several calls yields the
+same numbers as one call, so neither the swapped state, the lazy start nor
+the buffer changes a number, and trajectories are reproducible regardless of
 how chains are batched or threaded.
 
 The metric D2phi(x) is diagonal for every entropy here, so the noise term
@@ -50,6 +53,7 @@ from .errors import (
     InvalidParameters,
     NumericalBreakdown,
     Unavailable,
+    check_seed,
     parse_number,
 )
 
@@ -58,6 +62,13 @@ MAX_HALVINGS = 40
 _NOISE_CHUNK = 4096  # steps of noise pre-generated per chain at a time
 _NOISE_BYTES = 64 << 20  # cap on one chunk of noise across all chains
 _RETRY_CHUNK = 8  # retry tries of noise pre-drawn per rejecting chain at a time
+
+# numpy.random.SeedSequence's default pool size and hash constants.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -142,8 +153,13 @@ class Trace:
 def run_chain(entropy, target, schedule: StepSchedule, x0, n_steps: int, seed,
               record_every: int = 1, burn_in: int = 0,
               override_gate: bool = False) -> Trajectory:
-    """Run a single chain; deterministic given the seed."""
-    return _run_chains(entropy, target, schedule, x0, n_steps, [_seed_sequence(seed)],
+    """Run one chain from the stream of ``SeedSequence(seed)``; deterministic given the seed."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(
+        check_seed(seed))
+    # The retry stream is the SeedSequence's first child, as ss.spawn(1) would build it.
+    return _run_chains(entropy, target, schedule, x0, n_steps,
+                       ss.generate_state(2, np.uint64)[None],
+                       _philox_keys(ss.entropy, ss.spawn_key, [0], pool_size=ss.pool_size),
                        record_every, burn_in, override_gate)[0]
 
 
@@ -153,32 +169,36 @@ def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
                         override_gate: bool = False) -> Trace:
     """Run independent chains into one Trace; bitwise identical to serial runs.
 
-    Chain c (row c of the trace) runs from the c-th SeedSequence spawned from
-    the base seed; the batch update applies the same elementwise arithmetic
-    to every row, so thread or batch layout cannot change results.
+    Chain c (row c of the trace) runs from the stream of the c-th SeedSequence
+    spawned from the base seed (from a SeedSequence base, its next unspawned
+    child on; the base is advanced past them); the batch update applies the
+    same elementwise arithmetic to every row, so thread or batch layout cannot
+    change results.
     """
     if n_chains < 1:
         raise InvalidParameters("need at least one chain")
+    if isinstance(base_seed, np.random.SeedSequence):
+        seed_entropy, spawn_key = base_seed.entropy, base_seed.spawn_key
+        pool_size, first = base_seed.pool_size, base_seed.n_children_spawned
+        # n_children_spawned is read-only: spawning is the only way to advance it.
+        base_seed.spawn(n_chains)
+    else:
+        seed_entropy, spawn_key, pool_size, first = base_seed, (), _POOL_SIZE, 0
+    children = np.arange(first, first + n_chains, dtype=np.uint64)
+    # Chain c's retry stream is the first child of its SeedSequence.
     return _run_chains(entropy, target, schedule, x0, n_steps,
-                       _seed_sequence(base_seed).spawn(n_chains),
+                       _philox_keys(seed_entropy, spawn_key, children, pool_size=pool_size),
+                       _philox_keys(seed_entropy, spawn_key, children, (0,), pool_size),
                        record_every, burn_in, override_gate)
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+def _run_chains(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_every,
+                burn_in, override_gate) -> Trace:
+    """Run one chain per row of ``keys``, all rows of one batch.
 
-
-def _retry_seedseq(ss: np.random.SeedSequence) -> np.random.SeedSequence:
-    # Same child as ss.spawn(1)[0] on a fresh SeedSequence, without mutating
-    # the caller's object (spawning twice would silently shift the stream).
-    return np.random.SeedSequence(
-        entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + (0,), pool_size=ss.pool_size
-    )
-
-
-def _run_chains(entropy, target, schedule, x0, n_steps, seedseqs, record_every, burn_in,
-                override_gate) -> Trace:
-    """Run one chain per SeedSequence, all rows of one batch."""
+    Row c draws its noise from the Philox stream of ``keys[c]`` and its
+    retries from that of ``retry_keys[c]``.
+    """
     if record_every < 1 or burn_in < 0 or n_steps < 0:
         raise InvalidParameters("bad recording parameters")
     if entropy.dim != target.dim:
@@ -188,7 +208,7 @@ def _run_chains(entropy, target, schedule, x0, n_steps, seedseqs, record_every, 
         )
     _check_gate(entropy, target, schedule, override_gate)
 
-    n_chains = len(seedseqs)
+    n_chains = len(keys)
     p = entropy.dim
     record_ks = range(burn_in, n_steps + 1, record_every)
     _check_record_memory(n_chains, len(record_ks), p)
@@ -200,8 +220,8 @@ def _run_chains(entropy, target, schedule, x0, n_steps, seedseqs, record_every, 
         raise InvalidParameters("x0 must be strictly interior")
     Y = entropy.grad(X)
 
-    retry = _RetryStreams(seedseqs, p)
-    main_rngs = [np.random.Generator(np.random.Philox(ss)) for ss in seedseqs]
+    retry = _RetryStreams(retry_keys, p)
+    main = _PhiloxRows(keys)
 
     rec_points = np.empty((n_chains, len(record_ks), p))
     rec_h = np.zeros(len(record_ks))
@@ -218,8 +238,7 @@ def _run_chains(entropy, target, schedule, x0, n_steps, seedseqs, record_every, 
     while k < n_steps:
         chunk = min(steps_per_chunk, n_steps - k)
         noise = np.empty((n_chains, chunk, p))
-        for c, g in enumerate(main_rngs):
-            g.standard_normal((chunk, p), out=noise[c])
+        main.fill(range(n_chains), noise, keep=k + chunk < n_steps)
         for j in range(chunk):
             h = schedule.h_at(k + 1)
             gf = target.grad(X)
@@ -267,7 +286,7 @@ def reference_chain(entropy, target, s: float, substeps: int, seed,
         raise InvalidParameters("substeps must be at least 100")
     if s < 0.0:
         raise InvalidParameters("time span must be nonnegative")
-    X0 = target.sample_exact(np.random.default_rng(seed), n_replicas)
+    X0 = target.sample_exact(np.random.default_rng(check_seed(seed)), n_replicas)
     Y0 = entropy.grad(X0)
     if s == 0.0:
         return Y0, Y0.copy()
@@ -277,6 +296,87 @@ def reference_chain(entropy, target, s: float, substeps: int, seed,
 
 
 # ----------------------------------------------------------------- internals
+
+
+def _philox_keys(entropy, spawn_key, children, suffix=(), pool_size=_POOL_SIZE) -> np.ndarray:
+    """``(len(children), 2)`` uint64 Philox keys, one pass for all children.
+
+    Row i equals ``SeedSequence(entropy, spawn_key=spawn_key + (children[i],)
+    + suffix, pool_size=pool_size).generate_state(2, np.uint64)`` bit for
+    bit.  Children differ only in their spawn-key words, so every hash
+    constant, and every pool word mixed before a child's words, is one Python
+    int for all of them; only the words from the child's on are uint32 arrays.
+    """
+    children = np.asarray(children, dtype=np.uint64)
+    run = _uint32_words(entropy)
+    # The spawn key is nonempty, so numpy zero-pads the run entropy to the pool size.
+    head = run + [0] * (pool_size - len(run)) + _uint32_words(spawn_key)
+    tail = _uint32_words(suffix)
+    low = (children & _MASK32).astype(np.uint32)
+    high = (children >> np.uint64(32)).astype(np.uint32)
+    one_word = high == 0  # a child index below 2**32 is one word, others two
+    keys = np.empty((children.size, 2), dtype=np.uint64)
+    keys[one_word] = _seed_state_keys(head + [low[one_word]] + tail, pool_size)
+    if not one_word.all():
+        keys[~one_word] = _seed_state_keys(
+            head + [low[~one_word], high[~one_word]] + tail, pool_size)
+    return keys
+
+
+def _uint32_words(seed) -> list:
+    """numpy's little-endian uint32 words of an integer seed or a sequence of them."""
+    if isinstance(seed, (int, np.integer)):
+        n = int(check_seed(seed))
+        words = [n & _MASK32]
+        while n > _MASK32:
+            n >>= 32
+            words.append(n & _MASK32)
+        return words
+    if isinstance(seed, np.ndarray):
+        seed = seed.tolist()
+    if not isinstance(seed, (list, tuple, range)):
+        raise InvalidParameters(f"cannot seed a chain from {seed!r}")
+    return [word for item in seed for word in _uint32_words(item)]
+
+
+def _seed_state_keys(words, pool_size) -> np.ndarray:
+    """SeedSequence pool mixing and ``generate_state(2, np.uint64)`` over ``words``.
+
+    Each word is a Python int shared by every child or a uint32 array with
+    one entry per child; ``len(words) > pool_size``.
+    """
+    def hashmix(value, hash_const, mult):
+        value = value ^ hash_const
+        hash_const = (hash_const * mult) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16), hash_const
+
+    def mix(x, y):
+        r = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+        return r ^ (r >> 16)
+
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:pool_size]:
+        value, hash_const = hashmix(word, hash_const, _MULT_A)
+        pool.append(value)
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                value, hash_const = hashmix(pool[src], hash_const, _MULT_A)
+                pool[dst] = mix(pool[dst], value)
+    for word in words[pool_size:]:
+        for dst in range(pool_size):
+            value, hash_const = hashmix(word, hash_const, _MULT_A)
+            pool[dst] = mix(pool[dst], value)
+    hash_const = _INIT_B
+    state = []
+    for i in range(4):
+        value, hash_const = hashmix(pool[i % pool_size], hash_const, _MULT_B)
+        state.append(np.asarray(value, dtype=np.uint64))
+    # Little-endian pairs of uint32 words make the two uint64 key words.
+    return np.stack([state[0] | (state[1] << np.uint64(32)),
+                     state[2] | (state[3] << np.uint64(32))], axis=-1)
 
 
 def _check_record_memory(n_chains, n_records, p):
@@ -339,29 +439,60 @@ def _advance_rows(entropy, Y, gf, sq, h, xi, retry):
     )
 
 
-class _RetryStreams:
-    """Per-row retry normals: row c reads Philox(_retry_seedseq(seedseqs[c])) in order.
+class _PhiloxRows:
+    """Row c reads the Philox stream of key ``keys[c]`` from counter 0.
 
-    A row's generator is built at its first draw, and its normals come from
-    a buffer of ``_RETRY_CHUNK`` pre-drawn tries refilled from the same
-    stream, so most tries are one gather instead of a generator call per row.
+    One Generator serves every row: before a row draws, its stream position
+    is loaded into the generator's state.  A position is read back only when
+    the row will draw again (``keep``); reading it costs more than loading it.
     """
 
-    def __init__(self, seedseqs, p):
-        self._seedseqs = seedseqs
-        self._rngs = [None] * len(seedseqs)
-        self._buf = np.empty((len(seedseqs), _RETRY_CHUNK, p))
+    def __init__(self, keys):
+        self._keys = keys.tolist()  # row c's key as two ints
+        self._saved = [None] * len(keys)  # row c's state after its last kept draw
+        self._bitgen = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bitgen)
+        # A fresh Philox(key=k) state, k filled in per row.  Plain lists load
+        # faster than the arrays the state getter returns.
+        self._start = {
+            "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+
+    def fill(self, rows, out, keep):
+        """Draw ``out[c]``'s normals from row c's stream for each c in ``rows``."""
+        bitgen, saved, start = self._bitgen, self._saved, self._start
+        draw = self._gen.standard_normal
+        shape = out.shape[1:]
+        for c in rows:
+            state = saved[c]
+            if state is None:
+                start["state"]["key"] = self._keys[c]
+                state = start
+            bitgen.state = state
+            draw(shape, out=out[c])
+            if keep:
+                saved[c] = bitgen.state
+
+
+class _RetryStreams:
+    """Per-row retry normals: row c reads the Philox stream of ``keys[c]`` in order.
+
+    A row's stream starts at its first draw, and its normals come from a
+    buffer of ``_RETRY_CHUNK`` pre-drawn tries refilled from the same stream,
+    so most tries are one gather instead of a generator call per row.
+    """
+
+    def __init__(self, keys, p):
+        self._streams = _PhiloxRows(keys)
+        self._buf = np.empty((len(keys), _RETRY_CHUNK, p))
         # Next unread try per row; _RETRY_CHUNK marks an empty buffer.
-        self._next = np.full(len(seedseqs), _RETRY_CHUNK, dtype=np.intp)
+        self._next = np.full(len(keys), _RETRY_CHUNK, dtype=np.intp)
 
     def draw(self, rows) -> np.ndarray:
         """The next try's ``(len(rows), p)`` normals; ``rows`` are distinct."""
         spent = rows[self._next[rows] == self._buf.shape[1]]
-        for c in spent:
-            if self._rngs[c] is None:
-                self._rngs[c] = np.random.Generator(
-                    np.random.Philox(_retry_seedseq(self._seedseqs[c])))
-            self._rngs[c].standard_normal(self._buf.shape[1:], out=self._buf[c])
+        self._streams.fill(spent.tolist(), self._buf, keep=True)
         self._next[spent] = 0
         out = self._buf[rows, self._next[rows]]
         self._next[rows] += 1

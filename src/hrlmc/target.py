@@ -31,7 +31,7 @@ import numpy as np
 from scipy import integrate
 
 from . import entropy as _entropy
-from .errors import Divergent, InvalidParameters, Unavailable, parse_number
+from .errors import Divergent, InvalidParameters, Unavailable, check_seed, parse_number
 
 
 class Target:
@@ -299,7 +299,7 @@ def register_table2_targets() -> list[Target]:
 
 def exact_sample(target: Target, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws from the target law, deterministic given the seed."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     return target.sample_exact(rng, n)
 
 

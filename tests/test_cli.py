@@ -179,6 +179,71 @@ def test_usage_error_is_invalid_input(argv, err, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+_NEGATIVE_SEED = "error: a seed must be a non-negative integer"
+
+
+@pytest.mark.parametrize("argv, config", [
+    (_SAMPLE + ["--h", "0.05", "--seed", "-1"], None),
+    (["check", "--entropy", "burg", "--target", "gamma:a=5,b=1", "--seed", "-3"], None),
+    (["distance", "--entropy", "burg", "--method", "sliced", "--seed", "-1"], None),
+    (["experiment"], _CONFIG.replace("steps = 20", "steps = 20\nbase_seed = -2")),
+], ids=["sample", "check", "distance-sliced", "experiment-base-seed"])
+def test_negative_seed_is_invalid_input(argv, config, tmp_path, capsys):
+    if argv[0] == "distance":
+        for name in ("a", "b"):
+            np.savetxt(tmp_path / f"{name}.csv", np.arange(1.0, 9.0).reshape(4, 2),
+                       delimiter=",")
+        argv = [*argv, "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv")]
+    if config is not None:
+        path = tmp_path / "exp.ini"
+        path.write_text(config.replace("checkpoints = 10,20", "checkpoints = 0,10,20"))
+        argv = [*argv, "--config", str(path)]
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(_NEGATIVE_SEED)
+    assert not (tmp_path / "out").exists()
+
+
+_CLOUD = ["distance", "--entropy", "burg"]
+
+
+@pytest.mark.parametrize("argv, files, err", [
+    (_CLOUD + ["--a", "{d}/missing.csv", "--b", "{d}/b.csv"], {"b.csv": "1\n2\n"},
+     "error: cannot read {d}/missing.csv: No such file or directory"),
+    (_CLOUD + ["--a", "{d}/a.csv", "--b", "{d}/missing.csv"], {"a.csv": "1\n2\n"},
+     "error: cannot read {d}/missing.csv: No such file or directory"),
+    (_CLOUD + ["--a", "{d}/a.csv", "--b", "{d}/b.csv"], {"a.csv": "", "b.csv": "1\n2\n"},
+     "error: {d}/a.csv holds no points"),
+    (_CLOUD + ["--a", "{d}/a.csv", "--b", "{d}/b.csv"],
+     {"a.csv": "# only a comment\n", "b.csv": "1\n2\n"}, "error: {d}/a.csv holds no points"),
+    (_CLOUD + ["--a", "{d}/a.csv", "--b", "{d}/b.csv"], {"a.csv": "1\nx\n", "b.csv": "1\n2\n"},
+     "error: {d}/a.csv: could not convert"),
+    (["experiment", "--config", "{d}/missing.ini"], {},
+     "error: cannot read {d}/missing.ini: No such file or directory"),
+    (["sweep", "--config", "{d}/missing.ini"], {},
+     "error: cannot read {d}/missing.ini: No such file or directory"),
+    (["experiment", "--config", "{d}/exp.ini"], {"exp.ini": ""},
+     "error: config is missing keys: ['chains', 'entropy', 'schedule', 'steps', 'target']"),
+    (["sweep", "--config", "{d}/exp.ini"], {"exp.ini": "# nothing\n"},
+     "error: config is missing keys: ['chains', 'entropy', 'schedule', 'steps', 'target']"),
+    (["bound", "--report", "{d}/missing.json", "--h", "0.05", "--p", "1"], {},
+     "error: cannot read {d}/missing.json: No such file or directory"),
+    (["bound", "--report", "{d}/r.json", "--h", "0.05", "--p", "1"], {"r.json": ""},
+     "error: {d}/r.json is not a JSON report"),
+], ids=["distance-missing-a", "distance-missing-b", "distance-empty-cloud",
+        "distance-comment-only-cloud", "distance-malformed-cloud", "experiment-missing-config",
+        "sweep-missing-config", "experiment-empty-config", "sweep-empty-config",
+        "bound-missing-report", "bound-empty-report"])
+def test_unreadable_or_empty_input_file_is_invalid_input(argv, files, err, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(d=tmp_path) for arg in argv]
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(err.format(d=tmp_path)), stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["sample", "--help"])

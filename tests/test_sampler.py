@@ -77,7 +77,7 @@ def test_step_keeps_dual_cache_consistent():
     e, t = gamma_pair()
     ss = np.random.SeedSequence(3)
     rng = np.random.Generator(np.random.Philox(ss))
-    retry = smp._RetryStreams([ss], 1)
+    retry = smp._RetryStreams(smp._philox_keys(3, (), [0]), 1)
     x = np.array([[2.0]])
     y = e.grad(x)
     for _ in range(20):
@@ -291,6 +291,51 @@ def test_parallel_matches_serial_per_derived_seed(monkeypatch, spec, p, h, n_cha
         assert traj.rejections == solo.rejections
 
 
+@pytest.mark.parametrize("suffix", [(), (0,)], ids=["main", "retry"])
+@pytest.mark.parametrize("spawn_key", [(), (5,), (2**33, 1)], ids=["root", "child", "wide"])
+@pytest.mark.parametrize("entropy", [0, 2**32 + 1, 2**127 + 12345],
+                         ids=["zero", "two-words", "128-bit"])
+def test_philox_keys_equal_seed_sequence(entropy, spawn_key, suffix):
+    # The vectorised hash must track numpy's SeedSequence bit for bit; a
+    # change there would otherwise shift every stream silently.
+    children = np.arange(300)
+    expected = np.array([
+        np.random.SeedSequence(entropy, spawn_key=spawn_key + (int(c),) + suffix)
+        .generate_state(2, np.uint64)
+        for c in children
+    ])
+    np.testing.assert_array_equal(smp._philox_keys(entropy, spawn_key, children, suffix),
+                                  expected)
+
+
+def test_philox_keys_cover_wide_children_and_pool_sizes():
+    children = np.array([0, 7, 2**32 - 1, 2**32, 2**40 + 3, 9], dtype=np.uint64)
+    for pool_size in (4, 6):
+        expected = np.array([
+            np.random.SeedSequence([3, 2**40], spawn_key=(1, int(c), 0), pool_size=pool_size)
+            .generate_state(2, np.uint64)
+            for c in children
+        ])
+        np.testing.assert_array_equal(
+            smp._philox_keys([3, 2**40], (1,), children, (0,), pool_size), expected)
+
+
+def test_parallel_chains_from_spawned_seed_sequence_continue_its_children():
+    e, t = ent.burg(2), tgt.gamma_target([5.0, 5.0], [1.0, 1.0])
+    sch = smp.constant_schedule(0.2)
+    base = np.random.SeedSequence(8, spawn_key=(2,))
+    base.spawn(3)
+    trace = smp.run_parallel_chains(e, t, sch, [1.0, 1.0], 40, base_seed=base, n_chains=5)
+    assert base.n_children_spawned == 8
+    twin = np.random.SeedSequence(8, spawn_key=(2,))
+    children = twin.spawn(8)[3:]
+    assert trace.rejections.sum() > 0
+    for c, child in enumerate(children):
+        solo = smp.run_chain(e, t, sch, [1.0, 1.0], 40, seed=child)
+        np.testing.assert_array_equal(trace.points[c], solo.points)
+        assert trace.rejections[c] == solo.rejections
+
+
 def test_noise_byte_budget_does_not_change_trajectories(monkeypatch):
     e, t = ent.burg(2), tgt.gamma_target([5.0, 5.0], [1.0, 1.0])
     sch = smp.constant_schedule(0.2)
@@ -308,19 +353,22 @@ def test_noise_byte_budget_does_not_change_trajectories(monkeypatch):
 @pytest.mark.parametrize("h, x0, rejecting", [(0.05, 0.2, True), (0.01, 5.0, False)],
                          ids=["with-rejections", "without"])
 def test_retry_stream_built_only_for_rejecting_rows(monkeypatch, h, x0, rejecting):
-    built = []
-    retry_seedseq = smp._retry_seedseq
+    streams = []
 
-    def counting(ss):
-        built.append(ss)
-        return retry_seedseq(ss)
+    class Recording(smp._RetryStreams):
+        def __init__(self, *args):
+            super().__init__(*args)
+            streams.append(self)
 
-    monkeypatch.setattr(smp, "_retry_seedseq", counting)
+    monkeypatch.setattr(smp, "_RetryStreams", Recording)
     e, t = gamma_pair()
     trace = smp.run_parallel_chains(e, t, smp.constant_schedule(h), [x0], 40,
                                     base_seed=0, n_chains=512)
     assert (trace.rejections.sum() > 0) == rejecting
-    assert len(built) == int((trace.rejections > 0).sum())
+    # A row's retry stream is initialised from its key at its first draw.
+    (retry,) = streams
+    started = [state is not None for state in retry._streams._saved]
+    assert started == (trace.rejections > 0).tolist()
 
 
 @pytest.mark.parametrize("chunk", [1, 1000])
