@@ -27,7 +27,7 @@ that magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -140,8 +140,18 @@ class AssumptionReport:
 
     @classmethod
     def from_dict(cls, d):
+        """The report ``to_dict`` wrote; missing or unknown keys raise InvalidParameters."""
+        if not isinstance(d, dict):
+            raise InvalidParameters("a report must be a JSON object")
         d = dict(d)
         d.pop("formulas", None)
+        names = {f.name for f in fields(cls)}
+        required = {f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING}
+        problems = [f"{what} keys {sorted(keys)}" for what, keys in
+                    (("missing", required - set(d)), ("unknown", set(d) - names)) if keys]
+        if problems:
+            raise InvalidParameters("report has " + " and ".join(problems))
         return cls(**d)
 
 
@@ -155,6 +165,8 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
     displacement below 1e-12 are skipped as degenerate.
     """
     _check_dims(entropy, target)
+    if n_pairs < 1:
+        raise InvalidParameters(f"need at least one pair, got {n_pairs}")
     rng = np.random.default_rng(check_seed(seed))
     x1 = entropy.sample_interior(rng, n_pairs)
     x2 = entropy.sample_interior(rng, n_pairs)

@@ -99,16 +99,8 @@ def _cmd_sample(args) -> int:
     """
     target = parse_target(args.target)
     entropy = parse_entropy(args.entropy, dim=target.dim)
-    if (args.h is None) == (args.schedule is None):
-        raise SystemExit("sample: give exactly one of --h or --schedule")
     schedule = constant_schedule(args.h) if args.h is not None else parse_schedule(args.schedule)
-    x0 = (
-        np.asarray([parse_number(tok) for tok in args.x0.split(",")])
-        if args.x0
-        else entropy.interior_point()
-    )
-    if x0.size == 1 and entropy.dim > 1:
-        x0 = np.full(entropy.dim, float(x0[0]))
+    x0 = [parse_number(tok) for tok in args.x0.split(",")] if args.x0 else entropy.interior_point()
     trace = run_parallel_chains(
         entropy, target, schedule, x0, args.steps, args.seed, args.chains,
         record_every=args.thin, burn_in=args.burn_in, override_gate=args.override_gate,
@@ -235,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="run HRLMC chains and write a trace CSV")
     sp.add_argument("--entropy", required=True)
     sp.add_argument("--target", required=True)
-    sp.add_argument("--h", type=float, default=None, help="constant step size")
-    sp.add_argument("--schedule", default=None, help="e.g. harmonic:a=0.3")
+    step = sp.add_mutually_exclusive_group(required=True)
+    step.add_argument("--h", type=float, help="constant step size")
+    step.add_argument("--schedule", help="e.g. harmonic:a=0.3")
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--chains", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)

@@ -3,8 +3,10 @@
 Checkpoint distance protocol: at each checkpoint pool one recorded point per
 chain into a cloud of size n_chains, compare it against an equal-size
 exact-sample cloud, and repeat over ``reference_seeds`` independent reference
-clouds; report the median and interquartile range.  The exact empirical
-estimator (sort coupling in 1-d, assignment otherwise) is the only one used.
+clouds; report the median and interquartile range.  ``distance_method``
+picks the estimator; its default ``auto`` resolves as ``metrics.resolve_method``
+does: the sort coupling in 1-d, an exact assignment for p > 1 up to
+``metrics.AUTO_ASSIGNMENT_MAX`` (512) chains, and the sliced estimator above.
 
 Plateau estimation for the sweep subtracts a same-law baseline: the squared
 distance between two independent exact clouds of the same size measures the
@@ -12,12 +14,13 @@ finite-sample floor of the estimator, which grows with dimension and would
 otherwise masquerade as sampler bias.  The debiased plateau is
 sqrt(max(median d^2(chain, exact) - median d^2(exact, exact'), 0)).
 
-Distance tasks, one per (checkpoint, reference seed) pair, are independent
-and pure.  Each checkpoint cloud is pushed through the mirror map once,
-before the tasks, and every task embeds only its own reference cloud.  When
-the tasks solve assignments they run in forked worker processes, up to one
-per usable CPU; each result returns to its own slot, so the output does not
-depend on the number of workers.
+Both experiments share one path (``_checkpoint_distances``): run the chains,
+then one distance task per (checkpoint, reference seed) pair; the tasks are
+independent and pure.  Each checkpoint cloud is pushed through the mirror
+map once, before the tasks, and every task embeds only its own reference
+cloud.  When the tasks solve assignments they run in forked worker
+processes, up to one per usable CPU; each result returns to its own slot, so
+the output does not depend on the number of workers.
 
 Every experiment is a pure function of its config; re-running writes
 byte-identical CSV output (floats serialized with 17 significant digits).
@@ -56,7 +59,8 @@ class ExperimentConfig:
 
     ``x0`` holds either one coordinate broadcast to every chain or a full
     starting point; ``checkpoints`` must include 0 so the initial distance
-    can anchor the bound curve.
+    can anchor the bound curve.  ``reference_seeds``, ``assumption_pairs``
+    and ``plateau_window`` must be at least 1.
     """
 
     entropy: str
@@ -76,6 +80,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_seed(self.base_seed)
+        for name in ("reference_seeds", "assumption_pairs", "plateau_window"):
+            if getattr(self, name) < 1:
+                raise InvalidParameters(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def to_text(self) -> str:
         lines = []
@@ -191,6 +198,29 @@ def _embedded_clouds(entropy, trace, checkpoints):
     return clouds
 
 
+def _checkpoint_distances(entropy, target, schedule, config, seed, ks, pair):
+    """Run the configured chains from ``seed`` and map ``pair`` over the distance tasks.
+
+    Task (j, rep) calls ``pair(cloud, ks[j], rep)`` with the chain cloud
+    recorded at step ``ks[j]``, pushed through the mirror map, for each
+    reference seed ``rep``.  Returns the trace and the results stacked to
+    shape ``(len(ks), config.reference_seeds, ...)``.
+    """
+    trace = run_parallel_chains(entropy, target, schedule, config.x0, config.steps, seed,
+                                config.chains)
+    clouds = _embedded_clouds(entropy, trace, ks)
+    reps = config.reference_seeds
+
+    def task(i):
+        k = int(ks[i // reps])
+        return pair(clouds[k], k, i % reps)
+
+    method = metrics.resolve_method(config.distance_method, config.chains, config.chains,
+                                    target.dim)
+    values = np.array(_map_distance_tasks(task, len(ks) * reps, method))
+    return trace, values.reshape(len(ks), reps, *values.shape[1:])
+
+
 @dataclass
 class ConvergenceResult:
     """Distance trace with the matching theoretical bound curve."""
@@ -218,10 +248,6 @@ class ConvergenceResult:
             lines.append(f"{k},{_fmt(med)},{_fmt(iqr)},{_fmt(bv)},{_fmt(fl)}")
         return "\n".join(lines) + "\n"
 
-    def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
 
 def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
     """Distance-to-target trace at checkpoints, with one-sided bound values.
@@ -235,37 +261,17 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
     schedule = parse_schedule(config.schedule)
     if not config.checkpoints or min(config.checkpoints) != 0:
         raise InvalidParameters("checkpoints must be nonempty and include 0")
-    if max(config.checkpoints) > config.steps:
-        raise InvalidParameters("checkpoints exceed the step budget")
+    ks = np.unique(np.asarray(config.checkpoints, dtype=int))
 
-    x0 = np.asarray(config.x0, dtype=float)
-    if x0.size == 1:
-        x0 = np.full(target.dim, float(x0[0]))
-    trace = run_parallel_chains(
-        entropy, target, schedule, x0, config.steps, config.base_seed, config.chains
-    )
-    clouds = _embedded_clouds(entropy, trace, config.checkpoints)
-
-    reps = config.reference_seeds
-    tasks = [(k, rep) for k in clouds for rep in range(reps)]
-
-    def distance(i):
-        k, rep = tasks[i]
+    def distance(cloud, k, rep):
         ref = _reference_cloud(target, config.chains, config.base_seed, 7733, k, rep)
-        return metrics.w2_embedded(clouds[k], metrics.mirror_embed(entropy, ref),
+        return metrics.w2_embedded(cloud, metrics.mirror_embed(entropy, ref),
                                    method=config.distance_method).value
 
-    method = metrics.resolve_method(
-        config.distance_method, config.chains, config.chains, target.dim
-    )
-    values = _map_distance_tasks(distance, len(tasks), method)
-    distances = {k: np.array(values[j * reps:(j + 1) * reps]) for j, k in enumerate(clouds)}
-
-    ks = np.asarray(sorted(clouds), dtype=int)
-    medians = np.array([np.median(distances[k]) for k in ks])
-    iqrs = np.array(
-        [np.percentile(distances[k], 75) - np.percentile(distances[k], 25) for k in ks]
-    )
+    trace, d = _checkpoint_distances(entropy, target, schedule, config, config.base_seed,
+                                     ks, distance)
+    medians = np.median(d, axis=1)
+    iqrs = np.percentile(d, 75, axis=1) - np.percentile(d, 25, axis=1)
     w0_hat = float(medians[ks == 0][0])
 
     report = estimate_constants(
@@ -294,7 +300,7 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
         report=report,
         bound=bound,
         total_rejections=int(trace.rejections.sum()),
-        distances=distances,
+        distances=dict(zip(ks.tolist(), d)),
     )
 
 
@@ -319,10 +325,6 @@ class SweepResult:
         lines.append(f"# loglog_slope = {_fmt(self.slope)}")
         return "\n".join(lines) + "\n"
 
-    def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
 
 def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
     """Plateau-vs-dimension sweep over i.i.d. product Gamma targets.
@@ -334,6 +336,8 @@ def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
     dims = tuple(int(d) for d in (dims if dims is not None else config.dims))
     if not dims:
         raise InvalidParameters("sweep needs at least one dimension")
+    if min(dims) < 1:
+        raise InvalidParameters(f"sweep dimensions must be at least 1, got {min(dims)}")
     template = parse_target(config.target)
     if not template.name.startswith("gamma:") or template.dim != 1:
         raise InvalidParameters("sweep needs a one-dimensional gamma template target")
@@ -345,46 +349,28 @@ def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
     if not plateau_ks:
         raise InvalidParameters("sweep needs checkpoints for the plateau window")
 
-    reps = config.reference_seeds
     plateaus = np.empty(len(dims))
     raws = np.empty(len(dims))
     bases = np.empty(len(dims))
     for i, p in enumerate(dims):
         target = gamma_target([a_shape] * p, [b_rate] * p)
         entropy = parse_entropy(config.entropy, dim=p)
-        x0 = np.asarray(config.x0, dtype=float)
-        x0 = np.full(p, float(x0[0])) if x0.size == 1 else x0
-        trace = run_parallel_chains(
-            entropy, target, schedule, x0, config.steps,
-            config.base_seed + 101 * p, config.chains,
-        )
-        clouds = _embedded_clouds(entropy, trace, plateau_ks)
-        tasks = [(k, rep) for k in plateau_ks for rep in range(reps)]
 
-        def squared_distances(i):
-            k, rep = tasks[i]
+        def squared_distances(cloud, k, rep):
             ref = _reference_cloud(target, config.chains, config.base_seed, 7741 + p, k, rep)
-            d = metrics.w2_embedded(clouds[k], metrics.mirror_embed(entropy, ref),
+            d = metrics.w2_embedded(cloud, metrics.mirror_embed(entropy, ref),
                                     method=config.distance_method)
             ref_b = _reference_cloud(target, config.chains, config.base_seed, 8641 + p, k, rep)
             ref_c = _reference_cloud(target, config.chains, config.base_seed, 8647 + p, k, rep)
             d0 = metrics.w2phi(entropy, ref_b, ref_c, method=config.distance_method)
             return d.value**2, d0.value**2
 
-        method = metrics.resolve_method(config.distance_method, config.chains,
-                                        config.chains, p)
-        sq = _map_distance_tasks(squared_distances, len(tasks), method)
+        _, sq = _checkpoint_distances(entropy, target, schedule, config,
+                                      config.base_seed + 101 * p, plateau_ks, squared_distances)
         # Median of per-checkpoint medians: a chain ensemble occasionally
         # carries a deep-tail excursion that inflates every distance sharing
         # that snapshot, so checkpoints form contamination blocks.
-        chain_sq = []
-        base_sq = []
-        for j in range(len(plateau_ks)):
-            block = np.array(sq[j * reps:(j + 1) * reps])
-            chain_sq.append(float(np.median(block[:, 0])))
-            base_sq.append(float(np.median(block[:, 1])))
-        raw = float(np.median(chain_sq))
-        base = float(np.median(base_sq))
+        raw, base = np.median(np.median(sq, axis=1), axis=0)
         plateaus[i] = np.sqrt(max(raw - base, 0.0))
         raws[i] = np.sqrt(raw)
         bases[i] = np.sqrt(base)

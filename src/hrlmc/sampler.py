@@ -94,11 +94,6 @@ class StepSchedule:
             return float(self.h)
         return float(self.a) / float(k)
 
-    def label(self) -> str:
-        if self.kind == "constant":
-            return f"constant:h={self.h:g}"
-        return f"harmonic:a={self.a:g}"
-
 
 def constant_schedule(h: float) -> StepSchedule:
     return StepSchedule("constant", h=float(h))
@@ -173,7 +168,8 @@ def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
     spawned from the base seed (from a SeedSequence base, its next unspawned
     child on; the base is advanced past them); the batch update applies the
     same elementwise arithmetic to every row, so thread or batch layout cannot
-    change results.
+    change results.  ``x0`` of shape (1,) or (p,) starts every chain there;
+    one of shape (n_chains, p) gives each chain its own start.
     """
     if n_chains < 1:
         raise InvalidParameters("need at least one chain")
@@ -213,8 +209,9 @@ def _run_chains(entropy, target, schedule, x0, n_steps, keys, retry_keys, record
     record_ks = range(burn_in, n_steps + 1, record_every)
     _check_record_memory(n_chains, len(record_ks), p)
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 and x0.shape != (n_chains, p):
-        raise InvalidParameters(f"x0 must have shape ({n_chains}, {p})")
+    if x0.shape not in ((1,), (p,), (n_chains, p)):
+        raise InvalidParameters(
+            f"x0 must have shape (1,), ({p},) or ({n_chains}, {p}), not {x0.shape}")
     X = np.broadcast_to(x0, (n_chains, p)).copy()
     if not np.all(entropy.contains(X)):
         raise InvalidParameters("x0 must be strictly interior")

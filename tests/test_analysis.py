@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hrlmc import analysis as ana, entropy as ent, target as tgt
-from hrlmc.errors import EpsOutOfRange, InadmissibleRegime, StepOutOfWindow
+from hrlmc.errors import EpsOutOfRange, InadmissibleRegime, InvalidParameters, StepOutOfWindow
 
 
 def make_report(entropy_name="euclidean", target_name="gaussian", *, kappa, m, M,
@@ -196,6 +196,24 @@ def test_report_round_trip_and_invariants():
     assert abs(recomputed - rep.kappa_tilde) <= 1e-12
     clone = ana.AssumptionReport.from_dict(rep.to_dict())
     assert clone == rep
+
+
+def test_report_from_dict_names_missing_and_unknown_keys():
+    rep = ana.estimate_constants(ent.burg(1), tgt.gamma_target([5.0], [1.0]), n_pairs=50)
+    saved = rep.to_dict()
+    del saved["kappa"], saved["warnings"]  # warnings has a default
+    with pytest.raises(InvalidParameters, match=r"^report has missing keys \['kappa'\]$"):
+        ana.AssumptionReport.from_dict(saved)
+    with pytest.raises(InvalidParameters, match=r"^report has unknown keys \['colour'\]$"):
+        ana.AssumptionReport.from_dict({**rep.to_dict(), "colour": "blue"})
+    with pytest.raises(InvalidParameters, match="must be a JSON object"):
+        ana.AssumptionReport.from_dict([])
+
+
+@pytest.mark.parametrize("n_pairs", [0, -1])
+def test_estimate_constants_needs_a_pair(n_pairs):
+    with pytest.raises(InvalidParameters, match="at least one pair"):
+        ana.estimate_constants(ent.burg(1), tgt.gamma_target([5.0], [1.0]), n_pairs=n_pairs)
 
 
 def test_sampled_constants_never_contradict_declared():

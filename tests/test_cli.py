@@ -163,11 +163,48 @@ def test_malformed_number_is_invalid_input(argv, config, err, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+_BAD_X0 = "error: x0 must have shape (1,), ("
+_CONFIG_0 = _CONFIG.replace("checkpoints = 10,20", "checkpoints = 0,10,20")
+
+
+@pytest.mark.parametrize("argv, config, err", [
+    (["experiment"], _CONFIG_0 + "reference_seeds = 0\n",
+     "error: reference_seeds must be at least 1, got 0"),
+    (["experiment"], _CONFIG_0 + "assumption_pairs = 0\n",
+     "error: assumption_pairs must be at least 1, got 0"),
+    (["sweep", "--dims", "1"], _CONFIG.replace("plateau_window = 2", "plateau_window = 0"),
+     "error: plateau_window must be at least 1, got 0"),
+    (["sweep", "--dims", "1"], _CONFIG.replace("plateau_window = 2", "plateau_window = -1"),
+     "error: plateau_window must be at least 1, got -1"),
+    (["sweep"], _CONFIG + "dims = 0\n", "error: sweep dimensions must be at least 1, got 0"),
+    (["sweep", "--dims", "1,-2"], _CONFIG, "error: sweep dimensions must be at least 1, got -2"),
+    (["check", "--entropy", "burg", "--target", "gamma:a=5,b=1", "--pairs", "0"], None,
+     "error: need at least one pair, got 0"),
+    (_SAMPLE + ["--h", "0.05", "--target", "gamma:a=5,5;b=1,1", "--x0", "1,2,3"], None, _BAD_X0),
+    (_SAMPLE + ["--h", "0.05", "--x0", "1,2"], None, _BAD_X0),
+    (["experiment"], _CONFIG_0 + "x0 = 0.2,0.3,0.4\n", _BAD_X0),
+    (["sweep", "--dims", "2"], _CONFIG + "x0 = 0.2,0.3,0.4\n", _BAD_X0),
+], ids=["reference-seeds-0", "assumption-pairs-0", "plateau-window-0", "plateau-window-negative",
+        "config-dims-0", "sweep-dims-negative", "check-pairs-0", "sample-x0-3-of-2",
+        "sample-x0-2-of-1", "experiment-x0-3-of-1", "sweep-x0-3-of-2"])
+def test_out_of_range_input_is_invalid_input(argv, config, err, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "exp.ini"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, err", [
     (_SAMPLE + ["--h", "abc"], "argument --h: invalid float value: 'abc'"),
     (_SAMPLE + ["--h", "0.05", "--chains", "x"], "argument --chains: invalid int value: 'x'"),
     (_SAMPLE[:-2] + ["--h", "0.05"], "the following arguments are required: --steps"),
-], ids=["h", "chains", "missing-steps"])
+    (_SAMPLE + ["--h", "0.05", "--schedule", "harmonic:a=0.3"],
+     "argument --schedule: not allowed with argument --h"),
+    (_SAMPLE, "one of the arguments --h --schedule is required"),
+], ids=["h", "chains", "missing-steps", "both-h-and-schedule", "neither-h-nor-schedule"])
 def test_usage_error_is_invalid_input(argv, err, tmp_path, capsys):
     # Exit 2 is the assumption gate's code, so argparse's usage errors exit 1.
     with pytest.raises(SystemExit) as exc:
@@ -229,10 +266,17 @@ _CLOUD = ["distance", "--entropy", "burg"]
      "error: cannot read {d}/missing.json: No such file or directory"),
     (["bound", "--report", "{d}/r.json", "--h", "0.05", "--p", "1"], {"r.json": ""},
      "error: {d}/r.json is not a JSON report"),
+    (["bound", "--report", "{d}/r.json", "--h", "0.05", "--p", "1"], {"r.json": "{}"},
+     "error: report has missing keys ['M', 'M_declared', "),
+    (["bound", "--report", "{d}/r.json", "--h", "0.05", "--p", "1"], {"r.json": "[]"},
+     "error: a report must be a JSON object"),
+    (["bound", "--report", "{d}/r.json", "--h", "0.05", "--p", "1"],
+     {"r.json": '{"colour": "blue"}'}, "error: report has missing keys ['M', "),
 ], ids=["distance-missing-a", "distance-missing-b", "distance-empty-cloud",
         "distance-comment-only-cloud", "distance-malformed-cloud", "experiment-missing-config",
         "sweep-missing-config", "experiment-empty-config", "sweep-empty-config",
-        "bound-missing-report", "bound-empty-report"])
+        "bound-missing-report", "bound-empty-report", "bound-empty-object", "bound-list",
+        "bound-unknown-key"])
 def test_unreadable_or_empty_input_file_is_invalid_input(argv, files, err, tmp_path, capsys):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -155,6 +155,20 @@ def test_sweep_rejects_unrecorded_plateau_checkpoint(checkpoints):
         exp.run_dimension_sweep(cfg, dims=[1])
 
 
+def test_sweep_csv_is_pinned():
+    # Burg, p = 1 (exact-1d) and p = 2 (assignment), over a three-checkpoint
+    # plateau window: the sha256 pins the sweep's output bytes.
+    cfg = exp.ExperimentConfig(
+        entropy="burg", target="gamma:a=5;b=1", schedule="constant:h=0.2",
+        steps=40, chains=64, x0=(1.0,), checkpoints=(10, 20, 30, 40),
+        base_seed=3, reference_seeds=5, plateau_window=3,
+    )
+    csv = exp.run_dimension_sweep(cfg, dims=[1, 2]).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "133c7c6645c50fcea385caee5200975fd636e9143fa8606fb252b6c0d101bf55"
+    )
+
+
 def test_sweep_small_dims_monotone():
     cfg = exp.ExperimentConfig(
         entropy="burg", target="gamma:a=5;b=1", schedule="constant:h=0.2",

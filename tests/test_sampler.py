@@ -462,6 +462,24 @@ def test_x0_must_be_interior():
         smp.run_chain(e, t, smp.constant_schedule(0.05), [-1.0], 5, seed=0)
 
 
+def test_x0_of_one_coordinate_or_one_point_is_broadcast():
+    e, t = ent.burg(2), tgt.gamma_target([5.0, 5.0], [1.0, 1.0])
+    sch = smp.constant_schedule(0.05)
+    runs = [smp.run_parallel_chains(e, t, sch, x0, 10, 4, 3)
+            for x0 in ([0.7], [0.7, 0.7], np.full((3, 2), 0.7))]
+    for run in runs[1:]:
+        np.testing.assert_array_equal(run.points, runs[0].points)
+
+
+@pytest.mark.parametrize("x0", [0.7, [0.7, 0.7, 0.7], np.full((2, 2), 0.7),
+                                np.full((3, 1), 0.7), np.full((1, 3, 2), 0.7)],
+                         ids=["scalar", "three-of-two", "two-rows", "one-column", "3-d"])
+def test_x0_of_other_shape_is_invalid(x0):
+    e, t = ent.burg(2), tgt.gamma_target([5.0, 5.0], [1.0, 1.0])
+    with pytest.raises(InvalidParameters, match=r"x0 must have shape \(1,\), \(2,\) or \(3, 2\)"):
+        smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), x0, 5, 0, 3)
+
+
 # ------------------------------------------------- classical LMC reduction
 
 
