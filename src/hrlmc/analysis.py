@@ -309,6 +309,8 @@ class BoundReport:
 def bound_report(report: AssumptionReport, h: float, p: int,
                  w0: float | None = None) -> BoundReport:
     """Evaluate every closed-form quantity of the constant-step bound."""
+    if p < 1:
+        raise InvalidParameters(f"dimension p must be at least 1, got {p}")
     if not report.admissible:
         raise InadmissibleRegime(
             f"kappa_tilde={report.kappa_tilde:.6g} >= sqrt(2 m)={math.sqrt(2 * report.m):.6g}"
@@ -365,6 +367,8 @@ def iteration_complexity(report: AssumptionReport, p: int, eps: float) -> Comple
     by the bias coefficient are vacuous (skipped) when kappa_tilde or beta1
     is zero, otherwise no eps would be admissible in the bias-free regime.
     """
+    if p < 1:
+        raise InvalidParameters(f"dimension p must be at least 1, got {p}")
     if not report.admissible:
         raise InadmissibleRegime("iteration complexity needs kappa_tilde < sqrt(2 m)")
     m, M, kappa, delta, R = report.m, report.M, report.kappa, report.delta, report.r_value

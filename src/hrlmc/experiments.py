@@ -345,9 +345,11 @@ def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
     a_shape = float(template.m + 1.0)
     b_rate = a_shape / float(template.moment_mean[0])
     schedule = parse_schedule(config.schedule)
+    n_checkpoints = len(config.checkpoints)
+    if config.plateau_window > n_checkpoints:
+        raise InvalidParameters(f"plateau_window must be at most the {n_checkpoints} "
+                                f"checkpoint(s), got {config.plateau_window}")
     plateau_ks = sorted(config.checkpoints)[-config.plateau_window:]
-    if not plateau_ks:
-        raise InvalidParameters("sweep needs checkpoints for the plateau window")
 
     plateaus = np.empty(len(dims))
     raws = np.empty(len(dims))

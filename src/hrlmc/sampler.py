@@ -27,11 +27,15 @@ how chains are batched or threaded.
 The metric D2phi(x) is diagonal for every entropy here, so the noise term
 is the coordinate-wise product of its square-root diagonal with xi.
 
-Boundary policy: the dual image of every registered entropy is an open
-product of half-lines or lines.  A proposed y' that exits it (or whose x'
-lands in the domain guard band) is rejected and redrawn from the retry
-stream: ``MAX_RETRIES`` tries at h, then ``MAX_RETRIES`` tries at h/2, h/4,
-and so on for up to ``MAX_HALVINGS`` halvings, for that step only.  A row
+Boundary policy: a proposed y' whose x' = grad_phi_conjugate(y') leaves
+the guarded domain (non-finite, or inside the guard band) is rejected and
+redrawn from the retry stream.  The dual image of every registered entropy
+is an open product of half-lines or lines, and its inverse map sends every
+y' outside that image to such an x', so this one check also rejects every
+dual-domain exit (``test_try_invert_masks_rows_as_if_inverted_alone``
+checks it).
+A row gets ``MAX_RETRIES`` tries at h, then ``MAX_RETRIES`` tries at h/2,
+h/4, and so on for up to ``MAX_HALVINGS`` halvings, for that step only.  A row
 still rejected after the last try raises NumericalBreakdown.  Every failed
 proposal counts as one rejection in the chain's total.  Rejections are not
 rare at large steps: the criterion-10 sweep (Burg, h=0.2, p=8) has about
@@ -398,12 +402,15 @@ def _propose(Y, gf, sq, h, xi):
 def _try_invert(entropy, y_new):
     """(acceptance mask, inverted points); never raises or warns on bad rows.
 
-    Every map is elementwise, so inverting the rejected rows too leaves the
-    accepted ones bit-identical to inverting them alone.
+    A row is accepted when its inverted point lies in the guarded domain;
+    every y outside the dual image inverts to a point outside the domain, so
+    no dual check is needed.  Every map is elementwise, so inverting the
+    rejected rows too leaves the accepted ones bit-identical to inverting
+    them alone.
     """
     with np.errstate(all="ignore"):
         x_new = entropy._grad_conjugate_unchecked(y_new)
-    return entropy.dual_contains(y_new) & entropy.contains(x_new), x_new
+    return entropy.contains(x_new), x_new
 
 
 def _advance_rows(entropy, Y, gf, sq, h, xi, retry):

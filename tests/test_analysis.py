@@ -110,6 +110,15 @@ def test_rho_continuous_and_below_one_inside_window():
     )
 
 
+@pytest.mark.parametrize("p", [0, -3])
+def test_dimension_below_one_is_invalid(p):
+    rep = make_report(kappa=0.0, m=1.0, M=1.0, delta=0.0, R=1.0)
+    with pytest.raises(InvalidParameters, match=f"dimension p must be at least 1, got {p}"):
+        ana.bound_report(rep, h=0.1, p=p)
+    with pytest.raises(InvalidParameters, match=f"dimension p must be at least 1, got {p}"):
+        ana.iteration_complexity(rep, p=p, eps=0.1)
+
+
 # -------------------------------------------------------- iteration complexity
 
 

@@ -184,14 +184,27 @@ _CONFIG_0 = _CONFIG.replace("checkpoints = 10,20", "checkpoints = 0,10,20")
     (_SAMPLE + ["--h", "0.05", "--x0", "1,2"], None, _BAD_X0),
     (["experiment"], _CONFIG_0 + "x0 = 0.2,0.3,0.4\n", _BAD_X0),
     (["sweep", "--dims", "2"], _CONFIG + "x0 = 0.2,0.3,0.4\n", _BAD_X0),
+    (["sweep", "--dims", "1"], _CONFIG.replace("plateau_window = 2", "plateau_window = 5"),
+     "error: plateau_window must be at most the 2 checkpoint(s), got 5"),
+    (["bound", "--h", "0.05", "--p", "-3"], None, "error: dimension p must be at least 1, got -3"),
+    (["bound", "--h", "0.05", "--p", "0"], None, "error: dimension p must be at least 1, got 0"),
+    (["bound", "--h", "0.05", "--p", "0", "--eps", "0.01"], None,
+     "error: dimension p must be at least 1, got 0"),
 ], ids=["reference-seeds-0", "assumption-pairs-0", "plateau-window-0", "plateau-window-negative",
         "config-dims-0", "sweep-dims-negative", "check-pairs-0", "sample-x0-3-of-2",
-        "sample-x0-2-of-1", "experiment-x0-3-of-1", "sweep-x0-3-of-2"])
+        "sample-x0-2-of-1", "experiment-x0-3-of-1", "sweep-x0-3-of-2",
+        "plateau-window-above-checkpoints", "bound-p-negative", "bound-p-0", "bound-p-0-eps"])
 def test_out_of_range_input_is_invalid_input(argv, config, err, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "exp.ini"
         path.write_text(config)
         argv = [*argv, "--config", str(path)]
+    if argv[0] == "bound":
+        report = tmp_path / "report.json"
+        assert run_cli(["check", "--entropy", "burg", "--target", "gamma:a=5,b=1",
+                        "--pairs", "5", "--out", str(report)]) == 0
+        capsys.readouterr()
+        argv = [*argv, "--report", str(report)]
     assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(err)
     assert not (tmp_path / "out").exists()

@@ -1,5 +1,6 @@
 """Mirror-map unit tests: closed forms, round trips, Hessians, A1 ratios."""
 
+import itertools
 import math
 
 import numpy as np
@@ -122,6 +123,43 @@ def test_dual_domain_violation():
     mix = ent.mixed([0.0, 0.4])
     with pytest.raises(DualDomainViolation):
         mix.grad_conjugate([0.5, 0.5])  # first coordinate is Burg-like, needs y < 0
+
+
+_G = ent.BOUNDARY_GUARD
+_EDGES = [_G, _G / 2, 1 - _G, 1 - _G / 2, 0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+# One character per value of _EDGES: "1" where a coordinate of that value is
+# inside, "." where it is outside.
+_FINITE = "11111111..."
+_GUARDED_POSITIVE = "1.11..1...."
+_NEGATIVE = ".......1..."
+_GUARDED_UNIT = "1.1........"
+_DOMAIN_MASKS = {
+    # name: (entropy, per-coordinate (contains, dual_contains) masks)
+    "euclidean": (ent.euclidean(2), [(_FINITE, _FINITE)] * 2),
+    "burg": (ent.burg(2), [(_GUARDED_POSITIVE, _NEGATIVE)] * 2),
+    "logit": (ent.logit_barrier(2), [(_GUARDED_UNIT, _FINITE)] * 2),
+    "boltzmann-shannon": (ent.boltzmann_shannon(2), [(_GUARDED_POSITIVE, _FINITE)] * 2),
+    "mixed-a0": (ent.mixed([0.0]), [(_GUARDED_POSITIVE, _NEGATIVE)]),
+    "mixed-a0.5": (ent.mixed([0.5]), [(_GUARDED_POSITIVE, _FINITE)]),
+    "mixed-a0,0.5": (ent.mixed([0.0, 0.5]),
+                     [(_GUARDED_POSITIVE, _NEGATIVE), (_GUARDED_POSITIVE, _FINITE)]),
+    "burg-scaled-3": (ent.burg(2).scaled(3.0), [(_GUARDED_POSITIVE, _NEGATIVE)] * 2),
+    "logit-scaled-3": (ent.logit_barrier(2).scaled(3.0), [(_GUARDED_UNIT, _FINITE)] * 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_DOMAIN_MASKS))
+def test_domain_masks_are_pinned(case):
+    e, masks = _DOMAIN_MASKS[case]
+    index = list(itertools.product(range(len(_EDGES)), repeat=e.dim))
+    grid = np.take(_EDGES, index)
+    for which, predicate in enumerate([e.contains, e.dual_contains]):
+        inside = np.array([[m[which][i] == "1" for m, i in zip(masks, row)] for row in index])
+        expected = inside.all(axis=1)
+        np.testing.assert_array_equal(predicate(grid), expected)
+        for point, want in zip(grid, expected):
+            got = predicate(point)
+            assert np.shape(got) == () and bool(got) == want, (predicate.__name__, point)
 
 
 # ------------------------------------------------------------- property sweeps

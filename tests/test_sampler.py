@@ -87,14 +87,18 @@ def test_step_keeps_dual_cache_consistent():
 
 
 @pytest.mark.parametrize("e", [*ent.register_table1_entropies(dim=2), ent.boltzmann_shannon(2),
-                               ent.burg(2).scaled(2.5), ent.logit_barrier(2).scaled(0.5)],
+                               ent.burg(2).scaled(2.5), ent.logit_barrier(2).scaled(0.5),
+                               ent.burg(2).scaled(1e-300), ent.burg(2).scaled(1e300),
+                               ent.mixed([0.0, 0.7]).scaled(1e10)],
                          ids=lambda e: e.name)
 def test_try_invert_masks_rows_as_if_inverted_alone(e):
     # Interior rows, dual-domain exits (a positive Burg coordinate), guard-band
     # and overflowing images (huge |y|), and non-finite rows, in one batch.
+    # _try_invert accepts on the primal check alone, so this also fails if a
+    # dual point outside the image inverts to a point inside the domain.
     rng = np.random.default_rng(0)
     interior = e.grad(e.sample_interior(rng, 6))
-    edge = [1e-300, 0.0, 0.5, 40.0, 800.0, 1e13, 1e300, math.inf, math.nan]
+    edge = [5e-324, 1e-300, 1e-12, 0.0, 0.5, 40.0, 800.0, 3e5, 1e13, 1e300, math.inf, math.nan]
     edge += [-v for v in edge]
     rows = [interior]
     for v in edge:
