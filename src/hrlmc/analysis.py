@@ -59,9 +59,13 @@ def kappa_tilde(kappa: float, m: float, M: float, delta: float) -> float:
 
 
 def admissible_step_window(m: float, M: float, kt: float) -> float:
-    """Upper end of the admissible constant-step window (0 if none)."""
-    w = min((2.0 * m - kt * kt) / (m * m), (2.0 * M - kt * kt) / (M * M))
-    return max(w, 0.0)
+    """Upper end of the admissible constant-step window: 0 if kt^2 >= 2 min(m, M).
+
+    That case covers kt = inf and m = 0, where the closed form has no value.
+    """
+    if kt * kt >= 2.0 * min(m, M):
+        return 0.0
+    return min((2.0 * m - kt * kt) / (m * m), (2.0 * M - kt * kt) / (M * M))
 
 
 def contraction_factor(h: float, m: float, M: float, kt: float) -> float:
@@ -164,16 +168,7 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
     the max single-point commutator spectral norm.  Pairs with mirror
     displacement below 1e-12 are skipped as degenerate.
     """
-    _check_dims(entropy, target)
-    if n_pairs < 1:
-        raise InvalidParameters(f"need at least one pair, got {n_pairs}")
-    rng = np.random.default_rng(check_seed(seed))
-    x1 = entropy.sample_interior(rng, n_pairs)
-    x2 = entropy.sample_interior(rng, n_pairs)
-
-    g1 = entropy.grad(x1)
-    g2 = entropy.grad(x2)
-    dg = (g1 - g2).astype(_LD)
+    x1, x2, dg, df = _sampled_pairs(entropy, target, n_pairs, seed)
     gg = np.sqrt(np.sum(dg * dg, axis=-1))
     keep = gg > DEGENERATE_PAIR_TOL
     n_degenerate = int(np.sum(~keep))
@@ -182,7 +177,6 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
     frob = np.sqrt(np.sum(ds * ds, axis=-1))
     kappa_hat = float(np.max(math.sqrt(2.0) * frob[keep] / gg[keep]))
 
-    df = (target.grad(x1) - target.grad(x2)).astype(_LD)
     inner = np.sum(df * dg, axis=-1)[keep]
     ff = np.sqrt(np.sum(df * df, axis=-1))[keep]
     gk = gg[keep]
@@ -191,7 +185,7 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
 
     delta_hat = float(np.max(_commutator_norms(entropy, target, x1)))
 
-    r_est = _resolve_r(target, entropy, r_method, seed)
+    r_est = r_constant(target, method=r_method, seed=seed, entropy=entropy)
 
     kappa_eff = entropy.kappa_declared if entropy.kappa_declared is not None else kappa_hat
     m_eff = target.m if target.m is not None else m_hat
@@ -217,7 +211,7 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
     if target.delta is not None and delta_hat > target.delta + max(0.01 * target.delta, 1e-9):
         warnings.append(f"sampled delta {delta_hat:.6g} exceeds declared {target.delta:.6g}")
 
-    kt = kappa_tilde(kappa_eff, m_eff, M_eff, delta_eff) if math.isfinite(kappa_eff) else math.inf
+    kt = kappa_tilde(kappa_eff, m_eff, M_eff, delta_eff)
     return AssumptionReport(
         entropy=entropy.name,
         target=target.name,
@@ -247,21 +241,24 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
     )
 
 
+def _sampled_pairs(entropy, target, n_pairs, seed):
+    """Proposal pairs (x1, x2) and their grad phi and grad f differences in long double."""
+    _check_dims(entropy, target)
+    if n_pairs < 1:
+        raise InvalidParameters(f"need at least one pair, got {n_pairs}")
+    rng = np.random.default_rng(check_seed(seed))
+    x1 = entropy.sample_interior(rng, n_pairs)
+    x2 = entropy.sample_interior(rng, n_pairs)
+    dg = (entropy.grad(x1) - entropy.grad(x2)).astype(_LD)
+    df = (target.grad(x1) - target.grad(x2)).astype(_LD)
+    return x1, x2, dg, df
+
+
 def _commutator_norms(entropy, target, x):
     hf = target.hessian(x)
     inv_d = 1.0 / entropy.hessian_diag(x)
     comm = inv_d[..., :, None] * hf - hf * inv_d[..., None, :]
     return np.linalg.norm(comm, ord=2, axis=(-2, -1))
-
-
-def _resolve_r(target, entropy, method, seed):
-    if method != "auto":
-        return r_constant(target, method=method, seed=seed, entropy=entropy)
-    if target.r_declared is not None:
-        return r_constant(target, method="declared", entropy=entropy)
-    if target.dim <= 2 and target.log_partition is not None:
-        return r_constant(target, method="quadrature", entropy=entropy)
-    return r_constant(target, method="monte-carlo", seed=seed, entropy=entropy)
 
 
 @dataclass
@@ -444,7 +441,7 @@ def check_baillon_haddad(entropy, target, n_pairs: int = 10_000, seed: int = 0,
     the second coefficient reduces to m M / (m + M).  Failure is a result,
     not an error: the minimum slack and its witness pair come back either way.
     """
-    _check_dims(entropy, target)
+    x1, x2, dg, df = _sampled_pairs(entropy, target, n_pairs, seed)
     m = target.m if m is None else m
     M = target.M if M is None else M
     delta = (target.delta if target.delta is not None else 0.0) if delta is None else delta
@@ -452,12 +449,6 @@ def check_baillon_haddad(entropy, target, n_pairs: int = 10_000, seed: int = 0,
         raise ValueError("check_baillon_haddad needs m and M")
     a_coeff = 1.0 / (m + M)
     b_coeff = (4.0 * m * M - 4.0 * M * delta - delta * delta) / (4.0 * (m + M))
-
-    rng = np.random.default_rng(check_seed(seed))
-    x1 = entropy.sample_interior(rng, n_pairs)
-    x2 = entropy.sample_interior(rng, n_pairs)
-    dg = (entropy.grad(x1) - entropy.grad(x2)).astype(_LD)
-    df = (target.grad(x1) - target.grad(x2)).astype(_LD)
     slack = (
         np.sum(df * dg, axis=-1)
         - _LD(a_coeff) * np.sum(df * df, axis=-1)

@@ -30,17 +30,13 @@ from .errors import (
     StepOutOfWindow,
     parse_number,
 )
-from .experiments import ExperimentConfig, run_convergence_experiment, run_dimension_sweep
+from .experiments import ExperimentConfig, _fmt, run_convergence_experiment, run_dimension_sweep
 from .sampler import constant_schedule, parse_schedule, run_parallel_chains
 from .target import parse_target
 
 _GATE_ERRORS = (InadmissibleStepSize, InadmissibleRegime, StepOutOfWindow, EpsOutOfRange)
 _BREAKDOWN_ERRORS = (NumericalBreakdown, ConvergenceFailure, Divergent)
 _CSV_ROWS = 65536  # trace rows formatted and written per block
-
-
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
 
 
 def _write_text(path, text):

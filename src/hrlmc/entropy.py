@@ -99,7 +99,10 @@ class Entropy:
             raise DualDomainViolation(
                 f"{self.name}: dual point outside the mirror-map image"
             )
-        x = self._grad_conjugate_unchecked(y)
+        # At the edges of the image the inverse overflows to a point that the
+        # domain check rejects; that check, not a floating-point warning, reports it.
+        with np.errstate(all="ignore"):
+            x = self._grad_conjugate_unchecked(y)
         if not np.all(self.contains(x)):
             raise DomainViolation(
                 f"{self.name}: mirror inverse landed in the boundary guard band"

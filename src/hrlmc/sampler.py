@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import admissible_step_window, kappa_tilde
+from .analysis import _check_dims, admissible_step_window, kappa_tilde
 from .errors import (
     InadmissibleStepSize,
     InvalidParameters,
@@ -201,11 +201,7 @@ def _run_chains(entropy, target, schedule, x0, n_steps, keys, retry_keys, record
     """
     if record_every < 1 or burn_in < 0 or n_steps < 0:
         raise InvalidParameters("bad recording parameters")
-    if entropy.dim != target.dim:
-        raise InvalidParameters(
-            f"dimension mismatch: entropy {entropy.name!r} is {entropy.dim}-d, "
-            f"target {target.name!r} is {target.dim}-d"
-        )
+    _check_dims(entropy, target)
     _check_gate(entropy, target, schedule, override_gate)
 
     n_chains = len(keys)
@@ -510,12 +506,7 @@ def _gate_window(entropy, target):
         return None
     if entropy.kappa_declared is None or not target.constants_declared():
         return None
-    kappa = entropy.kappa_declared
-    if not math.isfinite(kappa):
-        return 0.0
-    kt = kappa_tilde(kappa, target.m, target.M, target.delta)
-    if kt * kt >= 2.0 * target.m:
-        return 0.0
+    kt = kappa_tilde(entropy.kappa_declared, target.m, target.M, target.delta)
     return admissible_step_window(target.m, target.M, kt)
 
 

@@ -329,10 +329,19 @@ def r_constant(target: Target, method: str = "declared", n: int = 100_000,
     ``declared`` returns the registry value; ``quadrature`` integrates the
     normalized density (1-d and 2-d targets); ``monte-carlo`` averages the
     metric spectral norm over exact draws and raises Divergent when the
-    running mean fails to stabilize.
+    running mean fails to stabilize.  ``auto`` takes the declared value, else
+    quadrature for a 1-d or 2-d target with a normalizer, else Monte Carlo.
     """
     if entropy is None:
         entropy = target.make_paired_entropy()
+
+    if method == "auto":
+        if target.r_declared is not None:
+            method = "declared"
+        elif target.dim <= 2 and target.log_partition is not None:
+            method = "quadrature"
+        else:
+            method = "monte-carlo"
 
     if method == "declared":
         if target.r_declared is None:
@@ -351,30 +360,17 @@ def r_constant(target: Target, method: str = "declared", n: int = 100_000,
 def _r_quadrature(target, entropy):
     if target.support is None or target.log_partition is None:
         raise Unavailable(f"{target.name}: no normalized density for quadrature")
-    lo, hi = target.support
+    if target.dim > 2:
+        raise Unavailable("quadrature is limited to 1-d and 2-d targets")
     log_z = target.log_partition
 
-    if target.dim == 1:
+    def integrand(*x):
+        pt = np.array(x)
+        norm = float(_spectral_norm_of_metric(entropy, pt))
+        return norm * math.exp(-float(target.potential(pt)) - log_z)
 
-        def integrand(x):
-            pt = np.array([x])
-            norm = float(_spectral_norm_of_metric(entropy, pt))
-            return norm * math.exp(-float(target.potential(pt)) - log_z)
-
-        value, err = integrate.quad(integrand, lo, hi, limit=200)
-        return RConstantEstimate("quadrature", float(value), float(err), target.r_table2)
-
-    if target.dim == 2:
-
-        def integrand2(x2, x1):
-            pt = np.array([x1, x2])
-            norm = float(_spectral_norm_of_metric(entropy, pt))
-            return norm * math.exp(-float(target.potential(pt)) - log_z)
-
-        value, err = integrate.dblquad(integrand2, lo, hi, lo, hi)
-        return RConstantEstimate("quadrature", float(value), float(err), target.r_table2)
-
-    raise Unavailable("quadrature is limited to 1-d and 2-d targets")
+    value, err = integrate.nquad(integrand, [target.support] * target.dim, opts={"limit": 200})
+    return RConstantEstimate("quadrature", float(value), float(err), target.r_table2)
 
 
 def _r_monte_carlo(target, entropy, n, seed):

@@ -221,8 +221,34 @@ def test_report_from_dict_names_missing_and_unknown_keys():
 
 @pytest.mark.parametrize("n_pairs", [0, -1])
 def test_estimate_constants_needs_a_pair(n_pairs):
-    with pytest.raises(InvalidParameters, match="at least one pair"):
-        ana.estimate_constants(ent.burg(1), tgt.gamma_target([5.0], [1.0]), n_pairs=n_pairs)
+    for estimate in (ana.estimate_constants, ana.check_baillon_haddad):
+        with pytest.raises(InvalidParameters, match="at least one pair"):
+            estimate(ent.burg(1), tgt.gamma_target([5.0], [1.0]), n_pairs=n_pairs)
+
+
+@pytest.mark.parametrize("estimate", [ana.estimate_constants, ana.check_baillon_haddad])
+def test_dimension_mismatch_is_invalid(estimate):
+    with pytest.raises(InvalidParameters, match=r"^dimension mismatch: entropy 'burg' is 2-d, "
+                       r"target 'gamma:a=5;b=1' is 1-d$"):
+        estimate(ent.burg(2), tgt.gamma_target([5.0], [1.0]), n_pairs=10)
+
+
+@pytest.mark.parametrize("p, dropped, want", [
+    (1, (), "declared"),
+    (1, ("r_declared",), "quadrature"),
+    (1, ("r_declared", "log_partition"), "monte-carlo"),
+    (3, ("r_declared",), "monte-carlo"),
+])
+def test_auto_r_method_order(p, dropped, want):
+    # auto: declared, else quadrature for a normalised 1-2-d target, else Monte Carlo.
+    t = tgt.gamma_target([5.0] * p, [1.0] * p)
+    for attr in dropped:
+        setattr(t, attr, None)
+    expected = tgt.r_constant(t, method=want, seed=3)
+    rep = ana.estimate_constants(ent.burg(p), t, n_pairs=100, seed=3, r_method="auto")
+    assert (rep.r_method, rep.r_value, rep.r_error, rep.r_table2) == (
+        expected.method, expected.value, expected.error, expected.table2_value)
+    assert tgt.r_constant(t, method="auto", seed=3) == expected
 
 
 def test_sampled_constants_never_contradict_declared():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,19 @@ def test_dual_domain_violation():
     mix = ent.mixed([0.0, 0.4])
     with pytest.raises(DualDomainViolation):
         mix.grad_conjugate([0.5, 0.5])  # first coordinate is Burg-like, needs y < 0
+
+
+@pytest.mark.parametrize("e, y", [
+    (ent.burg(1), -1e-320),
+    (ent.burg(1).scaled(1e-300), -1e10),
+    (ent.logit_barrier(1), 1e308),
+    (ent.boltzmann_shannon(1), 1000.0),
+], ids=["burg", "scaled-burg", "logit", "boltzmann-shannon"])
+def test_grad_conjugate_raises_without_warning_at_the_image_edge(e, y):
+    # The inverse overflows to a point outside the domain: an error, not a warning.
+    with warnings.catch_warnings(), pytest.raises(DomainViolation):
+        warnings.simplefilter("error")
+        e.grad_conjugate([y])
 
 
 _G = ent.BOUNDARY_GUARD

@@ -198,6 +198,34 @@ def test_largest_admissible_a():
     smp.run_chain(e, t, smp.constant_schedule(a), [1.0], 2, seed=0)
 
 
+def _declared_target(paired, m, M=4.0):
+    return tgt.Target(name="declared", dim=1, paired_entropy=paired,
+                      potential=lambda x: np.sum(x, axis=-1), grad=np.ones_like,
+                      hessian=lambda x: np.zeros(x.shape + (1,)), m=m, M=M, delta=0.0)
+
+
+@pytest.mark.parametrize("e, t", [
+    (ent.burg(1), _declared_target("burg", 1.0)),  # kappa_tilde^2 = 2 >= 2m
+    (ent.burg(1), _declared_target("burg", 0.5)),  # kappa_tilde^2 = 2 > 2m
+    (ent.boltzmann_shannon(1), _declared_target("boltzmann-shannon", 4.0)),  # kappa = inf
+    (ent.euclidean(1), _declared_target("euclidean", 0.0, M=1.0)),  # m = 0
+], ids=["burg-m1", "burg-m0.5", "boltzmann-shannon", "euclidean-m0"])
+def test_gate_window_zero_rejects_every_step(e, t):
+    with pytest.raises(InadmissibleStepSize) as err:
+        smp.run_chain(e, t, smp.constant_schedule(1e-6), [0.5], 1, seed=0)
+    assert (err.value.h, err.value.window) == (1e-6, 0.0)
+    with pytest.raises(InadmissibleStepSize) as err:
+        smp.largest_admissible_a(e, t)
+    assert (err.value.h, err.value.window) == (0.0, 0.0)
+
+
+def test_dimension_mismatch_is_invalid():
+    with pytest.raises(InvalidParameters, match=r"^dimension mismatch: entropy 'burg' is 2-d, "
+                       r"target 'gamma:a=5;b=1' is 1-d$"):
+        smp.run_parallel_chains(ent.burg(2), tgt.gamma_target([5.0], [1.0]),
+                                smp.constant_schedule(0.05), [1.0], 1, 0, 2)
+
+
 def test_largest_admissible_a_needs_constants():
     e = ent.burg(1)
     bare = tgt.Target(

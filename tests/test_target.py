@@ -117,6 +117,23 @@ def test_r_requires_oracle():
         tgt.r_constant(bare, method="monte-carlo")
 
 
+def test_r_quadrature_1d_values_are_pinned():
+    # Bitwise pins: a change of integration routine must not move the 1-d values.
+    assert tgt.r_constant(tgt.gamma_target([5.0], [1.0]), "quadrature").value == 0.08333333333333426
+    assert tgt.r_constant(tgt.beta_target(4.0, 4.0), "quadrature").value == 13.999999999999995
+
+
+def test_r_quadrature_2d_agrees_with_monte_carlo():
+    gamma = tgt.gamma_target([5.0, 5.0], [1.0, 1.0])
+    quad = tgt.r_constant(gamma, method="quadrature")
+    mc = tgt.r_constant(gamma, method="monte-carlo", n=200_000, seed=0)
+    assert quad.value == pytest.approx(0.128906, abs=1e-6)
+    assert abs(quad.value - mc.value) <= 3.0 * mc.error
+    # The declared value sums the per-coordinate moments: an upper bound on E max.
+    assert gamma.r_declared == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert quad.value < gamma.r_declared
+
+
 # --------------------------------------------------------------- exact sampler
 
 
