@@ -2,10 +2,10 @@
 
 The sampled estimators are falsification certificates over each entropy's
 declared interior proposal: a reported kappa_hat is the max ratio seen over
-n_pairs draws, never a proof of the global supremum.  Declared registry
-constants therefore take precedence in every bound computation; sampled
-values that contradict a declared constant by more than 1% raise a warning
-flag in the report.
+n_pairs draws, never a proof of the global supremum.  Constants declared
+for the pair (``Target.declared_for``) therefore take precedence in every
+bound computation; sampled values that contradict one by more than 1%
+raise a warning flag in the report.
 
 Closed forms implemented here:
 
@@ -54,7 +54,9 @@ def _check_dims(entropy, target):
 
 
 def kappa_tilde(kappa: float, m: float, M: float, delta: float) -> float:
-    """Effective contraction penalty combining kappa and the commutator bound."""
+    """Effective contraction penalty from kappa and the commutator bound; inf if m + M <= 0."""
+    if m + M <= 0.0:
+        return math.inf
     return math.sqrt(kappa * kappa + delta * (4.0 * M + delta) / (2.0 * (m + M)))
 
 
@@ -107,7 +109,7 @@ class AssumptionReport:
     """Declared + sampled assumption constants for one (entropy, target) pair.
 
     The ``kappa``/``m``/``M``/``delta``/``r_value`` fields are the effective
-    values used downstream (declared when available, sampled otherwise);
+    values used downstream (declared for the pair if any, sampled otherwise);
     ``kappa_tilde``, ``admissible`` and ``k1`` are derived from them.
     """
 
@@ -187,10 +189,11 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
 
     r_est = r_constant(target, method=r_method, seed=seed, entropy=entropy)
 
+    m_dec, M_dec, delta_dec, _, _ = target.declared_for(entropy)
     kappa_eff = entropy.kappa_declared if entropy.kappa_declared is not None else kappa_hat
-    m_eff = target.m if target.m is not None else m_hat
-    M_eff = target.M if target.M is not None else M_hat
-    delta_eff = target.delta if target.delta is not None else delta_hat
+    m_eff = m_dec if m_dec is not None else m_hat
+    M_eff = M_dec if M_dec is not None else M_hat
+    delta_eff = delta_dec if delta_dec is not None else delta_hat
 
     warnings = []
     if entropy.kappa_declared is not None and not math.isfinite(entropy.kappa_declared):
@@ -204,12 +207,12 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
                 f"sampled kappa {kappa_hat:.6g} exceeds declared "
                 f"{entropy.kappa_declared:.6g} by more than 1%"
             )
-    if target.m is not None and m_hat < target.m * 0.99 - 1e-12:
-        warnings.append(f"sampled m {m_hat:.6g} undercuts declared {target.m:.6g} by more than 1%")
-    if target.M is not None and M_hat > target.M * 1.01 + 1e-12:
-        warnings.append(f"sampled M {M_hat:.6g} exceeds declared {target.M:.6g} by more than 1%")
-    if target.delta is not None and delta_hat > target.delta + max(0.01 * target.delta, 1e-9):
-        warnings.append(f"sampled delta {delta_hat:.6g} exceeds declared {target.delta:.6g}")
+    if m_dec is not None and m_hat < m_dec * 0.99 - 1e-12:
+        warnings.append(f"sampled m {m_hat:.6g} undercuts declared {m_dec:.6g} by more than 1%")
+    if M_dec is not None and M_hat > M_dec * 1.01 + 1e-12:
+        warnings.append(f"sampled M {M_hat:.6g} exceeds declared {M_dec:.6g} by more than 1%")
+    if delta_dec is not None and delta_hat > delta_dec + max(0.01 * delta_dec, 1e-9):
+        warnings.append(f"sampled delta {delta_hat:.6g} exceeds declared {delta_dec:.6g}")
 
     kt = kappa_tilde(kappa_eff, m_eff, M_eff, delta_eff)
     return AssumptionReport(
@@ -219,11 +222,11 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
         proposal=entropy.proposal,
         kappa_declared=entropy.kappa_declared,
         kappa_sampled=kappa_hat,
-        m_declared=target.m,
+        m_declared=m_dec,
         m_sampled=m_hat,
-        M_declared=target.M,
+        M_declared=M_dec,
         M_sampled=M_hat,
-        delta_declared=target.delta,
+        delta_declared=delta_dec,
         delta_sampled=delta_hat,
         r_method=r_est.method,
         r_value=r_est.value,
@@ -234,7 +237,7 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
         M=float(M_eff),
         delta=float(delta_eff),
         kappa_tilde=float(kt),
-        admissible=bool(kt < math.sqrt(2.0 * m_eff)),
+        admissible=bool(m_eff > 0.0 and kt < math.sqrt(2.0 * m_eff)),
         k1=float(M_eff + kappa_eff),
         n_degenerate=n_degenerate,
         warnings=warnings,
@@ -310,7 +313,8 @@ def bound_report(report: AssumptionReport, h: float, p: int,
         raise InvalidParameters(f"dimension p must be at least 1, got {p}")
     if not report.admissible:
         raise InadmissibleRegime(
-            f"kappa_tilde={report.kappa_tilde:.6g} >= sqrt(2 m)={math.sqrt(2 * report.m):.6g}"
+            f"kappa_tilde={report.kappa_tilde:.6g} and m={report.m:.6g}: "
+            "the bound needs m > 0 and kappa_tilde^2 < 2 m"
         )
     window = admissible_step_window(report.m, report.M, report.kappa_tilde)
     if not (0.0 < h < window):
@@ -438,13 +442,15 @@ def check_baillon_haddad(entropy, target, n_pairs: int = 10_000, seed: int = 0,
     """Check <df, dphi> >= A ||df||^2 + B ||dphi||^2 on sampled pairs.
 
     A = 1/(m+M) and B = (4 m M - 4 M delta - delta^2)/(4 (m+M)); with delta=0
-    the second coefficient reduces to m M / (m + M).  Failure is a result,
-    not an error: the minimum slack and its witness pair come back either way.
+    the second coefficient reduces to m M / (m + M); m, M and delta default to
+    those declared for the pair.  Failure is a result, not an error: the
+    minimum slack and its witness pair come back either way.
     """
     x1, x2, dg, df = _sampled_pairs(entropy, target, n_pairs, seed)
-    m = target.m if m is None else m
-    M = target.M if M is None else M
-    delta = (target.delta if target.delta is not None else 0.0) if delta is None else delta
+    m_dec, M_dec, delta_dec, _, _ = target.declared_for(entropy)
+    m = m_dec if m is None else m
+    M = M_dec if M is None else M
+    delta = (delta_dec if delta_dec is not None else 0.0) if delta is None else delta
     if m is None or M is None:
         raise ValueError("check_baillon_haddad needs m and M")
     a_coeff = 1.0 / (m + M)

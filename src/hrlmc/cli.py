@@ -19,7 +19,6 @@ import numpy as np
 from . import analysis, metrics
 from .entropy import parse_entropy
 from .errors import (
-    ConvergenceFailure,
     Divergent,
     EpsOutOfRange,
     HrlmcError,
@@ -35,7 +34,7 @@ from .sampler import constant_schedule, parse_schedule, run_parallel_chains
 from .target import parse_target
 
 _GATE_ERRORS = (InadmissibleStepSize, InadmissibleRegime, StepOutOfWindow, EpsOutOfRange)
-_BREAKDOWN_ERRORS = (NumericalBreakdown, ConvergenceFailure, Divergent)
+_BREAKDOWN_ERRORS = (NumericalBreakdown, Divergent)
 _CSV_ROWS = 65536  # trace rows formatted and written per block
 
 

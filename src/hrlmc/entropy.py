@@ -315,11 +315,8 @@ class MixedEntropy(Entropy):
         x[burg] = -1.0 / y[burg]
         todo = ~burg
         aa = a[todo]
-        # Dual points far outside the sampled range overflow to x = 0 or inf,
-        # which the domain check then rejects like any other bad proposal.
-        with np.errstate(divide="ignore", over="ignore"):
-            omega = wrightomega(np.log((1.0 - aa) / aa) + (aa - y[todo]) / aa)
-            x[todo] = (1.0 - aa) / (aa * omega)
+        omega = wrightomega(np.log((1.0 - aa) / aa) + (aa - y[todo]) / aa)
+        x[todo] = (1.0 - aa) / (aa * omega)
         return x
 
 

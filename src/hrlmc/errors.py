@@ -16,10 +16,6 @@ class DualDomainViolation(HrlmcError):
     """Dual point is outside the image of the mirror map."""
 
 
-class ConvergenceFailure(HrlmcError):
-    """A numeric inversion failed to reach its tolerance."""
-
-
 class NumericalBreakdown(HrlmcError):
     """A linear-algebra or stepping routine broke down irrecoverably."""
 

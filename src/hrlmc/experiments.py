@@ -4,9 +4,9 @@ Checkpoint distance protocol: at each checkpoint pool one recorded point per
 chain into a cloud of size n_chains, compare it against an equal-size
 exact-sample cloud, and repeat over ``reference_seeds`` independent reference
 clouds; report the median and interquartile range.  ``distance_method``
-picks the estimator; its default ``auto`` resolves as ``metrics.resolve_method``
-does: the sort coupling in 1-d, an exact assignment for p > 1 up to
-``metrics.AUTO_ASSIGNMENT_MAX`` (512) chains, and the sliced estimator above.
+picks the estimator, and ``metrics.resolve_method`` checks it before any chain
+runs: ``auto`` is the sort coupling in 1-d, an exact assignment for p > 1 up
+to ``metrics.AUTO_ASSIGNMENT_MAX`` (512) chains, and the sliced estimator above.
 
 Plateau estimation for the sweep subtracts a same-law baseline: the squared
 distance between two independent exact clouds of the same size measures the
@@ -127,15 +127,6 @@ class ExperimentConfig:
                 kwargs[key] = val
         return cls(**kwargs)
 
-    def to_file(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
-
 
 def _reference_cloud(target, n, base_seed, tag, k, rep):
     rng = np.random.default_rng(
@@ -206,6 +197,8 @@ def _checkpoint_distances(entropy, target, schedule, config, seed, ks, pair):
     reference seed ``rep``.  Returns the trace and the results stacked to
     shape ``(len(ks), config.reference_seeds, ...)``.
     """
+    method = metrics.resolve_method(config.distance_method, config.chains, config.chains,
+                                    target.dim)
     trace = run_parallel_chains(entropy, target, schedule, config.x0, config.steps, seed,
                                 config.chains)
     clouds = _embedded_clouds(entropy, trace, ks)
@@ -215,8 +208,6 @@ def _checkpoint_distances(entropy, target, schedule, config, seed, ks, pair):
         k = int(ks[i // reps])
         return pair(clouds[k], k, i % reps)
 
-    method = metrics.resolve_method(config.distance_method, config.chains, config.chains,
-                                    target.dim)
     values = np.array(_map_distance_tasks(task, len(ks) * reps, method))
     return trace, values.reshape(len(ks), reps, *values.shape[1:])
 
@@ -341,9 +332,8 @@ def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
     template = parse_target(config.target)
     if not template.name.startswith("gamma:") or template.dim != 1:
         raise InvalidParameters("sweep needs a one-dimensional gamma template target")
-    # recover shape/rate from the template: m = a - 1, mean = a / b
-    a_shape = float(template.m + 1.0)
-    b_rate = a_shape / float(template.moment_mean[0])
+    for p in dims:
+        metrics.resolve_method(config.distance_method, config.chains, config.chains, p)
     schedule = parse_schedule(config.schedule)
     n_checkpoints = len(config.checkpoints)
     if config.plateau_window > n_checkpoints:
@@ -355,7 +345,7 @@ def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
     raws = np.empty(len(dims))
     bases = np.empty(len(dims))
     for i, p in enumerate(dims):
-        target = gamma_target([a_shape] * p, [b_rate] * p)
+        target = gamma_target(np.repeat(template.a, p), np.repeat(template.b, p))
         entropy = parse_entropy(config.entropy, dim=p)
 
         def squared_distances(cloud, k, rep):

@@ -29,33 +29,14 @@ AUTO_ASSIGNMENT_MAX = 512
 DEFAULT_PROJECTIONS = 256
 
 
-@dataclass
-class EmpiricalMeasure:
-    """Uniformly weighted point cloud, shape (n, dim)."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("an empirical measure needs a nonempty (n, dim) cloud")
-        self.points = pts
-
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-
 def _cloud(obj) -> np.ndarray:
-    if isinstance(obj, EmpiricalMeasure):
-        return obj.points
-    return EmpiricalMeasure(obj).points
+    """A uniformly weighted point cloud as an (n, dim) array; a vector is n 1-d points."""
+    pts = np.asarray(obj, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError("an empirical measure needs a nonempty (n, dim) cloud")
+    return pts
 
 
 def mirror_embed(entropy, measure) -> np.ndarray:
@@ -89,27 +70,37 @@ def w2_embedded(a, b, method: str = "auto", n_projections: int = DEFAULT_PROJECT
         return _w2_exact_1d(a, b)
     if method == "assignment":
         return _w2_assignment(a, b)
-    if method == "sliced":
-        return _w2_sliced(a, b, n_projections, seed)
-    raise MethodUnavailable(f"unknown method {method!r}")
+    return _w2_sliced(a, b, n_projections, seed)
 
 
 def resolve_method(method: str, n_a: int, n_b: int, dim: int) -> str:
-    """The estimator ``w2phi`` runs for clouds of n_a and n_b points in dim."""
-    if method != "auto":
-        return method
-    if dim == 1:
-        return "exact-1d"
-    if n_a == n_b and n_a <= AUTO_ASSIGNMENT_MAX:
-        return "assignment"
-    return "sliced"
+    """The estimator ``w2phi`` runs for clouds of n_a and n_b points in dim.
+
+    ``auto`` is exact-1d in 1-d, else assignment for equal counts up to
+    ``AUTO_ASSIGNMENT_MAX``, else sliced.  A method that cannot run on these
+    clouds raises here, so callers can check before they build the clouds.
+    """
+    if method == "auto":
+        if dim == 1:
+            method = "exact-1d"
+        elif n_a == n_b and n_a <= AUTO_ASSIGNMENT_MAX:
+            method = "assignment"
+        else:
+            method = "sliced"
+    if method not in ("exact-1d", "assignment", "sliced"):
+        raise MethodUnavailable(f"unknown method {method!r}")
+    if method == "exact-1d" and dim != 1:
+        raise MethodUnavailable("exact-1d needs one-dimensional points")
+    if method != "sliced" and n_a != n_b:
+        raise SizeMismatch(f"{method} needs equal counts, got {n_a} and {n_b}")
+    if method == "assignment" and n_a > ASSIGNMENT_MAX_POINTS:
+        raise MethodUnavailable(
+            f"assignment is limited to {ASSIGNMENT_MAX_POINTS} points; use sliced"
+        )
+    return method
 
 
 def _w2_exact_1d(a, b):
-    if a.shape[1] != 1:
-        raise MethodUnavailable("exact-1d needs one-dimensional points")
-    if a.shape[0] != b.shape[0]:
-        raise SizeMismatch(f"exact-1d needs equal counts, got {a.shape[0]} and {b.shape[0]}")
     sa = np.sort(a[:, 0])
     sb = np.sort(b[:, 0])
     mean_sq = float(np.mean((sa - sb) ** 2))
@@ -117,12 +108,6 @@ def _w2_exact_1d(a, b):
 
 
 def _w2_assignment(a, b):
-    if a.shape[0] != b.shape[0]:
-        raise SizeMismatch(f"assignment needs equal counts, got {a.shape[0]} and {b.shape[0]}")
-    if a.shape[0] > ASSIGNMENT_MAX_POINTS:
-        raise MethodUnavailable(
-            f"assignment is limited to {ASSIGNMENT_MAX_POINTS} points; use sliced"
-        )
     cost = cdist(a, b, metric="sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     total = float(cost[rows, cols].sum())

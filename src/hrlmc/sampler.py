@@ -500,14 +500,10 @@ class _RetryStreams:
 
 
 def _gate_window(entropy, target):
-    # Declared (m, M, delta) are relative to the target's paired entropy;
-    # the gate is meaningless for any other pairing.
-    if entropy.name != target.paired_entropy:
+    m, M, delta, _, _ = target.declared_for(entropy)
+    if entropy.kappa_declared is None or None in (m, M, delta):
         return None
-    if entropy.kappa_declared is None or not target.constants_declared():
-        return None
-    kt = kappa_tilde(entropy.kappa_declared, target.m, target.M, target.delta)
-    return admissible_step_window(target.m, target.M, kt)
+    return admissible_step_window(m, M, kappa_tilde(entropy.kappa_declared, m, M, delta))
 
 
 def _check_gate(entropy, target, schedule, override_gate):

@@ -10,6 +10,10 @@ constants:
 * Beta  f = (1-a1) log x + (1-a2) log(1-x)           paired with the logit
                                     barrier, m = min(a_i - 1), M = max.
 
+Declared constants belong to the pair: m, M, delta and R are relative to
+(phi, pi), as relative convexity and smoothness are defined against a reference
+function, and ``Target.declared_for`` gives them to the paired entropy only.
+
 Potentials are defined up to an additive constant; nothing downstream needs
 the normalizer except the R-constant quadrature, which uses the stored log
 partition function of exp(-f).
@@ -39,8 +43,8 @@ class Target:
 
     ``m``, ``M``, ``delta`` are the relative strong-convexity / smoothness /
     commutator constants with respect to the paired entropy; any of them may
-    be None ("unknown").  ``sampler(rng, n)`` must return exact draws from the
-    normalized law when present.
+    be None ("unknown").  Read them through ``declared_for``.  ``sampler(rng,
+    n)`` must return exact draws from the normalized law when present.
     """
 
     def __init__(
@@ -106,8 +110,11 @@ class Target:
     def has_moment_oracle(self):
         return self.moment_mean is not None and self.moment_var is not None
 
-    def constants_declared(self):
-        return self.m is not None and self.M is not None and self.delta is not None
+    def declared_for(self, entropy):
+        """Declared (m, M, delta, R, Table-2 R) if ``entropy`` is the paired one, else Nones."""
+        if entropy.name != self.paired_entropy:
+            return None, None, None, None, None
+        return self.m, self.M, self.delta, self.r_declared, self.r_table2
 
     def make_paired_entropy(self):
         return _entropy.parse_entropy(self.paired_entropy, dim=self.dim)
@@ -211,7 +218,7 @@ def gamma_target(a, b) -> Target:
     name = "gamma:a=" + ",".join(format(v, "g") for v in a) + ";b=" + ",".join(
         format(v, "g") for v in b
     )
-    return Target(
+    out = Target(
         name=name,
         dim=p,
         paired_entropy="burg",
@@ -229,6 +236,9 @@ def gamma_target(a, b) -> Target:
         support=(0.0, np.inf),
         log_partition=float(np.sum(_lgamma(a) - a * np.log(b))),
     )
+    out.a = a.copy()
+    out.b = b.copy()
+    return out
 
 
 def beta_target(a1, a2) -> Target:
@@ -326,7 +336,7 @@ def r_constant(target: Target, method: str = "declared", n: int = 100_000,
                seed: int = 0, entropy=None) -> RConstantEstimate:
     """Hessian-moment constant R of the (entropy, target) pair.
 
-    ``declared`` returns the registry value; ``quadrature`` integrates the
+    ``declared`` returns the pair's registry value; ``quadrature`` integrates the
     normalized density (1-d and 2-d targets); ``monte-carlo`` averages the
     metric spectral norm over exact draws and raises Divergent when the
     running mean fails to stabilize.  ``auto`` takes the declared value, else
@@ -334,9 +344,10 @@ def r_constant(target: Target, method: str = "declared", n: int = 100_000,
     """
     if entropy is None:
         entropy = target.make_paired_entropy()
+    _, _, _, r_declared, r_table2 = target.declared_for(entropy)
 
     if method == "auto":
-        if target.r_declared is not None:
+        if r_declared is not None:
             method = "declared"
         elif target.dim <= 2 and target.log_partition is not None:
             method = "quadrature"
@@ -344,17 +355,17 @@ def r_constant(target: Target, method: str = "declared", n: int = 100_000,
             method = "monte-carlo"
 
     if method == "declared":
-        if target.r_declared is None:
-            raise Unavailable(f"{target.name}: no declared R")
-        return RConstantEstimate("declared", float(target.r_declared), 0.0, target.r_table2)
+        if r_declared is None:
+            raise Unavailable(f"{target.name}: no declared R for {entropy.name}")
+        return RConstantEstimate("declared", float(r_declared), 0.0, r_table2)
 
     if method == "quadrature":
-        return _r_quadrature(target, entropy)
-
-    if method == "monte-carlo":
-        return _r_monte_carlo(target, entropy, n, seed)
-
-    raise InvalidParameters(f"unknown R method {method!r}")
+        value, error = _r_quadrature(target, entropy)
+    elif method == "monte-carlo":
+        value, error = _r_monte_carlo(target, entropy, n, seed)
+    else:
+        raise InvalidParameters(f"unknown R method {method!r}")
+    return RConstantEstimate(method, value, error, r_table2)
 
 
 def _r_quadrature(target, entropy):
@@ -370,7 +381,7 @@ def _r_quadrature(target, entropy):
         return norm * math.exp(-float(target.potential(pt)) - log_z)
 
     value, err = integrate.nquad(integrand, [target.support] * target.dim, opts={"limit": 200})
-    return RConstantEstimate("quadrature", float(value), float(err), target.r_table2)
+    return float(value), float(err)
 
 
 def _r_monte_carlo(target, entropy, n, seed):
@@ -386,9 +397,7 @@ def _r_monte_carlo(target, entropy, n, seed):
             f"{target.name}: R estimate failed to stabilize "
             f"(partial means {partial_means}); the Hessian-moment condition looks violated"
         )
-    value = float(np.mean(norms))
-    se = float(np.std(norms, ddof=1) / math.sqrt(n))
-    return RConstantEstimate("monte-carlo", value, se, target.r_table2)
+    return float(np.mean(norms)), float(np.std(norms, ddof=1) / math.sqrt(n))
 
 
 _DIAG_RE = re.compile(r"^diag\(([^)]*)\)$")

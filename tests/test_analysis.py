@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from hrlmc import analysis as ana, entropy as ent, target as tgt
-from hrlmc.errors import EpsOutOfRange, InadmissibleRegime, InvalidParameters, StepOutOfWindow
+from hrlmc import analysis as ana, entropy as ent, sampler as smp, target as tgt
+from hrlmc.errors import (
+    EpsOutOfRange,
+    InadmissibleRegime,
+    InvalidParameters,
+    StepOutOfWindow,
+    Unavailable,
+)
 
 
 def make_report(entropy_name="euclidean", target_name="gaussian", *, kappa, m, M,
@@ -263,6 +269,41 @@ def test_sampled_constants_never_contradict_declared():
         assert rep.M_sampled <= t.M * 1.01 + 1e-12
         assert rep.delta_sampled <= t.delta + 1e-9
         assert rep.warnings == []
+
+
+def _pairings():
+    """Each registered target with each Table-1 entropy of its dimension."""
+    for t in tgt.register_table2_targets():
+        extra = [ent.burg(1).scaled(2.0)] if t.dim == 1 else []
+        for e in ent.register_table1_entropies(t.dim) + extra:
+            yield pytest.param(e, t, id=f"{e.name}-{t.name}")
+
+
+@pytest.mark.parametrize("e, t", list(_pairings()))
+def test_declared_constants_reach_only_the_paired_entropy(e, t, monkeypatch):
+    paired = e.name == t.paired_entropy
+    declared = (t.m, t.M, t.delta, t.r_declared, t.r_table2) if paired else (None,) * 5
+    assert t.declared_for(e) == declared
+    assert (smp._gate_window(e, t) is not None) == paired
+    if paired:
+        assert tgt.r_constant(t, "declared", entropy=e).value == t.r_declared
+        assert ana.check_baillon_haddad(e, t, n_pairs=50).a_coeff == 1.0 / (t.m + t.M)
+    else:
+        with pytest.raises(Unavailable):
+            tgt.r_constant(t, "declared", entropy=e)
+        with pytest.raises(ValueError, match="needs m and M"):
+            ana.check_baillon_haddad(e, t, n_pairs=50)
+
+    # R is checked above; a stub keeps targets whose mass leaves the
+    # entropy's domain (no R by any method) in the report check.
+    stub = tgt.RConstantEstimate("stub", 1.0, 0.0, None)
+    monkeypatch.setattr(ana, "r_constant", lambda *args, **kwargs: stub)
+    rep = ana.estimate_constants(e, t, n_pairs=500, seed=0)
+    assert (rep.m_declared, rep.M_declared, rep.delta_declared) == declared[:3]
+    if not paired:
+        assert (rep.m, rep.M, rep.delta) == (rep.m_sampled, rep.M_sampled, rep.delta_sampled)
+    declared_warnings = ("sampled m ", "sampled M ", "sampled delta ")
+    assert not [w for w in rep.warnings if w.startswith(declared_warnings)]
 
 
 # ------------------------------------------------------------ Baillon-Haddad

@@ -405,6 +405,31 @@ def test_bound_step_out_of_window_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("entropy, target, code", [
+    ("euclidean", "gamma:a=5,b=1", 0),  # sampled m < 0
+    ("burg", "beta:a1=4,a2=4", 0),  # sampled m = -M
+    ("logit", "gamma:a=5,b=1", 1),  # pi puts mass outside (0, 1): no R
+], ids=["euclidean-gamma", "burg-beta", "logit-gamma"])
+def test_check_ignores_constants_declared_for_another_entropy(entropy, target, code, tmp_path):
+    report_path = tmp_path / "report.json"
+    assert run_cli([
+        "check", "--entropy", entropy, "--target", target, "--pairs", "2000",
+        "--out", str(report_path),
+    ]) == code
+    if code:
+        assert not report_path.exists()
+        return
+    report = json.loads(report_path.read_text())
+    assert report["m_declared"] is None and report["m"] == report["m_sampled"]
+    assert report["r_method"] == "quadrature"
+    assert report["admissible"] is False
+    code = run_cli([
+        "bound", "--report", str(report_path), "--h", "0.05", "--p", "1",
+        "--out", str(tmp_path / "b.json"),
+    ])
+    assert code == 2
+
+
 def test_experiment_command_and_determinism(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(

@@ -131,7 +131,10 @@ def test_dual_domain_violation():
     (ent.burg(1).scaled(1e-300), -1e10),
     (ent.logit_barrier(1), 1e308),
     (ent.boltzmann_shannon(1), 1000.0),
-], ids=["burg", "scaled-burg", "logit", "boltzmann-shannon"])
+    (ent.mixed([0.0, 0.5]), [-1.0, -1e308]),
+    (ent.mixed([0.0, 0.5]), [-1e-320, 3.0]),
+], ids=["burg", "scaled-burg", "logit", "boltzmann-shannon", "mixed:a=0,0.5-wrightomega",
+        "mixed:a=0,0.5-burg"])
 def test_grad_conjugate_raises_without_warning_at_the_image_edge(e, y):
     # The inverse overflows to a point outside the domain: an error, not a warning.
     with warnings.catch_warnings(), pytest.raises(DomainViolation):

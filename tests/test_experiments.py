@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hrlmc import experiments as exp, target as tgt
-from hrlmc.errors import InvalidParameters, MethodUnavailable
+from hrlmc.errors import InvalidParameters, MethodUnavailable, SizeMismatch
 from hrlmc.metrics import ASSIGNMENT_MAX_POINTS
 
 
@@ -33,13 +33,6 @@ def small_gamma_config(**overrides):
 def test_config_round_trip_is_lossless():
     cfg = small_gamma_config(x0=(0.2, 0.3), dims=(1, 2, 4), out="trace.csv")
     assert exp.ExperimentConfig.from_text(cfg.to_text()) == cfg
-
-
-def test_config_file_round_trip(tmp_path):
-    cfg = small_gamma_config()
-    path = tmp_path / "exp.ini"
-    cfg.to_file(path)
-    assert exp.ExperimentConfig.from_file(path) == cfg
 
 
 def test_config_accepts_comments_and_rejects_unknown_keys():
@@ -250,3 +243,41 @@ def test_worker_error_keeps_its_type(monkeypatch):
                              distance_method="assignment")
     with pytest.raises(MethodUnavailable):
         exp.run_convergence_experiment(cfg)
+
+
+def test_worker_error_keeps_its_type_across_the_process_boundary(monkeypatch):
+    monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)
+
+    def task(i):
+        if i == 1:
+            raise SizeMismatch("task 1")
+        return i
+
+    with pytest.raises(SizeMismatch, match="task 1"):
+        exp._map_distance_tasks(task, 2, "assignment")
+
+
+@pytest.mark.parametrize("run, overrides", [
+    (exp.run_convergence_experiment, dict(distance_method="foo")),
+    (lambda cfg: exp.run_dimension_sweep(cfg, dims=(1, 2)), dict(distance_method="exact-1d")),
+], ids=["experiment-foo", "sweep-exact-1d-p2"])
+def test_distance_method_is_checked_before_any_chain_runs(monkeypatch, run, overrides):
+    def no_chains(*args, **kwargs):
+        raise AssertionError("chains ran before the distance method was checked")
+
+    monkeypatch.setattr(exp, "run_parallel_chains", no_chains)
+    with pytest.raises(MethodUnavailable):
+        run(small_gamma_config(**overrides))
+
+
+def test_sweep_copies_the_template_gamma_parameters(monkeypatch):
+    class Seen(Exception):
+        pass
+
+    def spy(a, b):
+        raise Seen(np.asarray(a).tolist(), np.asarray(b).tolist())
+
+    monkeypatch.setattr(exp, "gamma_target", spy)
+    with pytest.raises(Seen) as err:
+        exp.run_dimension_sweep(small_gamma_config(target="gamma:a=3.05;b=0.7"), dims=[2])
+    assert err.value.args == ([3.05, 3.05], [0.7, 0.7])

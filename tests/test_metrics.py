@@ -217,7 +217,5 @@ def test_gaussian_w2_diagonal_covariances():
 
 def test_empirical_measure_validation():
     with pytest.raises(ValueError):
-        mtr.EmpiricalMeasure(np.zeros((0, 2)))
-    m = mtr.EmpiricalMeasure([1.0, 2.0, 3.0])
-    assert m.points.shape == (3, 1)
-    assert m.n == 3 and m.dim == 1
+        mtr.mirror_embed(ent.euclidean(2), np.zeros((0, 2)))
+    assert mtr.mirror_embed(ent.euclidean(1), [1.0, 2.0, 3.0]).shape == (3, 1)

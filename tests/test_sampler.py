@@ -209,7 +209,8 @@ def _declared_target(paired, m, M=4.0):
     (ent.burg(1), _declared_target("burg", 0.5)),  # kappa_tilde^2 = 2 > 2m
     (ent.boltzmann_shannon(1), _declared_target("boltzmann-shannon", 4.0)),  # kappa = inf
     (ent.euclidean(1), _declared_target("euclidean", 0.0, M=1.0)),  # m = 0
-], ids=["burg-m1", "burg-m0.5", "boltzmann-shannon", "euclidean-m0"])
+    (ent.euclidean(1), _declared_target("euclidean", 0.0, M=0.0)),  # m + M = 0
+], ids=["burg-m1", "burg-m0.5", "boltzmann-shannon", "euclidean-m0", "euclidean-m0-M0"])
 def test_gate_window_zero_rejects_every_step(e, t):
     with pytest.raises(InadmissibleStepSize) as err:
         smp.run_chain(e, t, smp.constant_schedule(1e-6), [0.5], 1, seed=0)
