@@ -27,7 +27,7 @@ from .errors import (
     InvalidParameters,
     NumericalBreakdown,
     StepOutOfWindow,
-    parse_number,
+    parse_numbers,
 )
 from .experiments import ExperimentConfig, _fmt, run_convergence_experiment, run_dimension_sweep
 from .sampler import constant_schedule, parse_schedule, run_parallel_chains
@@ -95,7 +95,7 @@ def _cmd_sample(args) -> int:
     target = parse_target(args.target)
     entropy = parse_entropy(args.entropy, dim=target.dim)
     schedule = constant_schedule(args.h) if args.h is not None else parse_schedule(args.schedule)
-    x0 = [parse_number(tok) for tok in args.x0.split(",")] if args.x0 else entropy.interior_point()
+    x0 = parse_numbers(args.x0) if args.x0 else entropy.interior_point()
     trace = run_parallel_chains(
         entropy, target, schedule, x0, args.steps, args.seed, args.chains,
         record_every=args.thin, burn_in=args.burn_in, override_gate=args.override_gate,
@@ -193,7 +193,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = ExperimentConfig.from_text(_read_input(args.config))
-    dims = [parse_number(tok, int) for tok in args.dims.split(",")] if args.dims else None
+    dims = parse_numbers(args.dims, int) if args.dims else None
     result = run_dimension_sweep(config, dims)
     out = args.out or config.out
     _write_text(out, result.to_csv())

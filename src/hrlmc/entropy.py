@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.special import wrightomega
 
-from .errors import DomainViolation, DualDomainViolation, InvalidParameters, parse_number
+from .errors import DomainViolation, DualDomainViolation, InvalidParameters, parse_spec
 
 # Points closer than this to the domain boundary are rejected: Hessians blow
 # up there and every domain is open.
@@ -446,26 +446,19 @@ def register_table1_entropies(dim: int = 3, mixed_weights=None) -> list[Entropy]
     ]
 
 
+_FACTORIES = {"euclidean": euclidean, "burg": burg, "logit": logit_barrier,
+              "boltzmann-shannon": boltzmann_shannon, "boltzmann_shannon": boltzmann_shannon}
+
+
 def parse_entropy(spec: str, dim: int | None = None) -> Entropy:
     """Build an entropy from a CLI name such as ``burg`` or ``mixed:a=0.3,0.7``."""
-    spec = spec.strip()
-    head, _, rest = spec.partition(":")
-    head = head.lower()
+    head, fields = parse_spec(spec)
     if head == "mixed":
-        if not rest.startswith("a="):
+        if set(fields) != {"a"}:
             raise InvalidParameters("mixed entropy spec must look like mixed:a=0.3,0.7")
-        weights = [parse_number(tok) for tok in rest[2:].split(",") if tok]
-        return mixed(weights)
-    if rest:
+        return mixed(fields["a"])
+    if head not in _FACTORIES:
+        raise InvalidParameters(f"unknown entropy {spec!r}")
+    if fields:
         raise InvalidParameters(f"unexpected parameters for entropy {head!r}")
-    if dim is None:
-        dim = 1
-    if head == "euclidean":
-        return euclidean(dim)
-    if head == "burg":
-        return burg(dim)
-    if head == "logit":
-        return logit_barrier(dim)
-    if head in ("boltzmann-shannon", "boltzmann_shannon"):
-        return boltzmann_shannon(dim)
-    raise InvalidParameters(f"unknown entropy {spec!r}")
+    return _FACTORIES[head](1 if dim is None else dim)

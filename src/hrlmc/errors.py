@@ -80,6 +80,37 @@ def parse_number(text, kind=float):
     raise InvalidParameters(f"cannot parse {text!r} as a finite {kind.__name__}")
 
 
+def parse_numbers(text, kind=float):
+    """The numbers of a comma list such as ``1,2,4``; empty tokens are skipped."""
+    return [parse_number(tok, kind) for tok in map(str.strip, text.split(",")) if tok]
+
+
+def parse_spec(spec):
+    """Split a ``head:key=values`` spec into its lower-cased head and ``{key: [floats]}``.
+
+    ``,`` and ``;`` both separate values, a token holding ``=`` starts a new
+    key, and empty tokens are skipped: ``gamma:a=5,5;b=1`` gives ``("gamma",
+    {"a": [5.0, 5.0], "b": [1.0]})``.  A value before any key, or a key
+    without values, raises InvalidParameters.
+    """
+    head, _, rest = spec.partition(":")
+    fields, key = {}, None
+    for token in rest.replace(";", ",").split(","):
+        if "=" in token:
+            key, _, token = token.partition("=")
+            key = key.strip()
+            fields.setdefault(key, [])
+        token = token.strip()
+        if token and key is None:
+            raise InvalidParameters(f"cannot parse {spec!r}: dangling value {token!r}")
+        if token:
+            fields[key].append(parse_number(token))
+    for key, values in fields.items():
+        if not values:
+            raise InvalidParameters(f"cannot parse {key!r}: a key needs at least one value")
+    return head.strip().lower(), fields
+
+
 def check_seed(seed):
     """``seed`` unchanged unless an integer in it is negative, which raises InvalidParameters.
 

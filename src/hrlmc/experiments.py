@@ -31,14 +31,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import metrics
 from .analysis import bound_report, estimate_constants
 from .entropy import parse_entropy
-from .errors import InvalidParameters, check_seed, parse_number
+from .errors import InvalidParameters, check_seed, parse_number, parse_numbers
 from .sampler import constant_schedule, parse_schedule, run_parallel_chains
 from .target import gamma_target, parse_target
 
@@ -120,9 +120,9 @@ class ExperimentConfig:
             if key in _INT_FIELDS:
                 kwargs[key] = parse_number(val, int)
             elif key in _FLOAT_TUPLE_FIELDS:
-                kwargs[key] = tuple(parse_number(tok) for tok in val.split(",") if tok)
+                kwargs[key] = tuple(parse_numbers(val))
             elif key in _INT_TUPLE_FIELDS:
-                kwargs[key] = tuple(parse_number(tok, int) for tok in val.split(",") if tok)
+                kwargs[key] = tuple(parse_numbers(val, int))
             else:
                 kwargs[key] = val
         return cls(**kwargs)
@@ -259,22 +259,25 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
         return metrics.w2_embedded(cloud, metrics.mirror_embed(entropy, ref),
                                    method=config.distance_method).value
 
+    # The report and the bound come first, so an inadmissible regime or a step
+    # outside the window fails before any chain runs.
+    report = estimate_constants(
+        entropy, target, n_pairs=config.assumption_pairs, seed=config.base_seed
+    )
+    bound = bound_report(report, schedule.h, target.dim) if schedule.kind == "constant" else None
+
     trace, d = _checkpoint_distances(entropy, target, schedule, config, config.base_seed,
                                      ks, distance)
     medians = np.median(d, axis=1)
     iqrs = np.percentile(d, 75, axis=1) - np.percentile(d, 25, axis=1)
     w0_hat = float(medians[ks == 0][0])
 
-    report = estimate_constants(
-        entropy, target, n_pairs=config.assumption_pairs, seed=config.base_seed
-    )
-    if schedule.kind == "constant":
-        bound = bound_report(report, schedule.h, target.dim, w0=w0_hat)
+    if bound is not None:
+        bound = replace(bound, w0=w0_hat)
         bound_values = np.asarray(bound.bound_at(ks), dtype=float)
         floor = bound.floor
         rho = bound.rho
     else:
-        bound = None
         bound_values = np.full(ks.shape, np.nan)
         floor = float("nan")
         rho = float("nan")

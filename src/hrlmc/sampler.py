@@ -58,7 +58,7 @@ from .errors import (
     NumericalBreakdown,
     Unavailable,
     check_seed,
-    parse_number,
+    parse_spec,
 )
 
 MAX_RETRIES = 50
@@ -107,15 +107,16 @@ def harmonic_schedule(a: float) -> StepSchedule:
     return StepSchedule("harmonic", a=float(a))
 
 
+_SCHEDULE_KEYS = {"constant": "h", "harmonic": "a"}
+
+
 def parse_schedule(spec: str) -> StepSchedule:
-    spec = spec.strip()
-    head, _, rest = spec.partition(":")
-    key, _, val = rest.partition("=")
-    if head == "constant" and key == "h":
-        return constant_schedule(parse_number(val))
-    if head == "harmonic" and key == "a":
-        return harmonic_schedule(parse_number(val))
-    raise InvalidParameters(f"cannot parse schedule {spec!r}")
+    """Build a schedule from ``constant:h=0.05`` or ``harmonic:a=0.3``."""
+    head, fields = parse_spec(spec)
+    key = _SCHEDULE_KEYS.get(head)
+    if key is None or set(fields) != {key} or len(fields[key]) != 1:
+        raise InvalidParameters(f"cannot parse schedule {spec!r}")
+    return StepSchedule(head, **{key: fields[key][0]})
 
 
 @dataclass

@@ -35,7 +35,8 @@ import numpy as np
 from scipy import integrate
 
 from . import entropy as _entropy
-from .errors import Divergent, InvalidParameters, Unavailable, check_seed, parse_number
+from .errors import (Divergent, DomainViolation, InvalidParameters, Unavailable, check_seed,
+                     parse_spec)
 
 
 class Target:
@@ -128,6 +129,8 @@ def gaussian_target(A) -> Target:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[0] != A.shape[1]:
         raise InvalidParameters("precision matrix must be square")
+    if A.size == 0:
+        raise InvalidParameters("precision matrix must not be empty")
     if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12):
         raise InvalidParameters("precision matrix must be symmetric")
     eigs = np.linalg.eigvalsh(A)
@@ -359,12 +362,18 @@ def r_constant(target: Target, method: str = "declared", n: int = 100_000,
             raise Unavailable(f"{target.name}: no declared R for {entropy.name}")
         return RConstantEstimate("declared", float(r_declared), 0.0, r_table2)
 
-    if method == "quadrature":
-        value, error = _r_quadrature(target, entropy)
-    elif method == "monte-carlo":
-        value, error = _r_monte_carlo(target, entropy, n, seed)
-    else:
-        raise InvalidParameters(f"unknown R method {method!r}")
+    try:
+        if method == "quadrature":
+            value, error = _r_quadrature(target, entropy)
+        elif method == "monte-carlo":
+            value, error = _r_monte_carlo(target, entropy, n, seed)
+        else:
+            raise InvalidParameters(f"unknown R method {method!r}")
+    except DomainViolation as err:
+        raise DomainViolation(
+            f"R of {target.name} under {entropy.name} failed: the target's law leaves "
+            f"the entropy's domain ({err})"
+        ) from err
     return RConstantEstimate(method, value, error, r_table2)
 
 
@@ -400,57 +409,23 @@ def _r_monte_carlo(target, entropy, n, seed):
     return float(np.mean(norms)), float(np.std(norms, ddof=1) / math.sqrt(n))
 
 
-_DIAG_RE = re.compile(r"^diag\(([^)]*)\)$")
-
-
 def parse_target(spec: str) -> Target:
     """Build a target from a CLI string.
 
-    Formats: ``gaussian:A=diag(1,2)``, ``gamma:a=5,b=1``,
+    Formats: ``gaussian:A=diag(1,2)`` (or ``gaussian:A=1,2``), ``gamma:a=5,b=1``,
     ``gamma:a=5,5,5,5;b=1,1,1,1``, ``beta:a1=4,a2=4``.
     """
-    spec = spec.strip()
-    head, _, rest = spec.partition(":")
-    head = head.lower()
+    head, fields = parse_spec(re.sub(r"=\s*diag\((.*)\)\s*$", r"=\1", spec))
     if head == "gaussian":
-        key, _, val = rest.partition("=")
-        if key.strip() != "A":
+        if set(fields) != {"A"}:
             raise InvalidParameters("gaussian spec must look like gaussian:A=diag(1,2)")
-        val = val.strip()
-        m = _DIAG_RE.match(val)
-        if m:
-            diag = [parse_number(tok) for tok in m.group(1).split(",") if tok]
-            return gaussian_target(np.diag(diag))
-        return gaussian_target(np.array([[parse_number(val)]]))
+        return gaussian_target(np.diag(fields["A"]))
     if head == "gamma":
-        fields = _parse_number_lists(rest)
         if set(fields) != {"a", "b"}:
             raise InvalidParameters("gamma spec needs a=... and b=...")
         return gamma_target(fields["a"], fields["b"])
     if head == "beta":
-        fields = _parse_number_lists(rest)
         if set(fields) != {"a1", "a2"} or any(len(v) != 1 for v in fields.values()):
             raise InvalidParameters("beta spec needs scalar a1=... and a2=...")
         return beta_target(fields["a1"][0], fields["a2"][0])
     raise InvalidParameters(f"unknown target {spec!r}")
-
-
-def _parse_number_lists(text):
-    """Parse 'a=5,5;b=1,1' or 'a=5,b=1' into {'a': [...], 'b': [...]}."""
-    fields: dict[str, list[float]] = {}
-    current = None
-    for segment in text.split(";"):
-        for token in segment.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" in token:
-                key, _, val = token.partition("=")
-                current = key.strip()
-                fields.setdefault(current, []).append(parse_number(val))
-            else:
-                if current is None:
-                    raise InvalidParameters(f"dangling value {token!r} in target spec")
-                fields[current].append(parse_number(token))
-        current = None
-    return fields

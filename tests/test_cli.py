@@ -150,9 +150,11 @@ _UNPARSED = "error: cannot parse"
      None, _UNPARSED),
     (_SAMPLE + ["--h", "0.05", "--entropy", "euclidean", "--target", "gaussian:A=inf"],
      None, _UNPARSED),
+    (_SAMPLE + ["--h", "0.05", "--entropy", "euclidean", "--target", "gaussian:A=diag()"],
+     None, _UNPARSED),
 ], ids=["schedule", "x0", "mixed-weights", "target-list", "gaussian-diag", "config-int",
         "sweep-dims", "h-inf", "harmonic-inf", "x0-nan", "gamma-inf", "gaussian-diag-inf",
-        "gaussian-scalar-inf"])
+        "gaussian-scalar-inf", "gaussian-diag-empty"])
 def test_malformed_number_is_invalid_input(argv, config, err, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "exp.ini"
@@ -161,6 +163,16 @@ def test_malformed_number_is_invalid_input(argv, config, err, tmp_path, capsys):
     assert run_cli([*argv, "--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err.startswith(err)
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_x0_list_follows_the_config_rule(capsys):
+    # An empty token is skipped on the command line as in a config file.
+    assert cli.ExperimentConfig.from_text(_CONFIG + "x0 = 1,\n").x0 == (1.0,)
+    outputs = []
+    for x0 in ("1,", "1"):
+        assert run_cli(_SAMPLE + ["--h", "0.05", "--x0", x0, "--out", "-"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 _BAD_X0 = "error: x0 must have shape (1,), ("

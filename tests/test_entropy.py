@@ -300,3 +300,11 @@ def test_parse_entropy_names():
     np.testing.assert_allclose(mix.weights, [0.3, 0.7])
     with pytest.raises(InvalidParameters):
         ent.parse_entropy("hellinger")
+    for entropy in ent.register_table1_entropies():
+        assert ent.parse_entropy(entropy.name, dim=entropy.dim).name == entropy.name
+    assert ent.parse_entropy("mixed:a=0.3;0.7").name == mix.name
+    assert ent.parse_entropy("MIXED: a=0.3, 0.7").name == mix.name
+    assert ent.parse_entropy(" Burg ").name == "burg"
+    for spec in ("burg:x", "burg:a=1", "mixed:a=", "mixed:b=0.3"):
+        with pytest.raises(InvalidParameters):
+            ent.parse_entropy(spec)

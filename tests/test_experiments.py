@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hrlmc import experiments as exp, target as tgt
-from hrlmc.errors import InvalidParameters, MethodUnavailable, SizeMismatch
+from hrlmc.errors import (InadmissibleRegime, InvalidParameters, MethodUnavailable,
+                          SizeMismatch)
 from hrlmc.metrics import ASSIGNMENT_MAX_POINTS
 
 
@@ -257,16 +258,18 @@ def test_worker_error_keeps_its_type_across_the_process_boundary(monkeypatch):
         exp._map_distance_tasks(task, 2, "assignment")
 
 
-@pytest.mark.parametrize("run, overrides", [
-    (exp.run_convergence_experiment, dict(distance_method="foo")),
-    (lambda cfg: exp.run_dimension_sweep(cfg, dims=(1, 2)), dict(distance_method="exact-1d")),
-], ids=["experiment-foo", "sweep-exact-1d-p2"])
-def test_distance_method_is_checked_before_any_chain_runs(monkeypatch, run, overrides):
+@pytest.mark.parametrize("run, overrides, error", [
+    (exp.run_convergence_experiment, dict(distance_method="foo"), MethodUnavailable),
+    (lambda cfg: exp.run_dimension_sweep(cfg, dims=(1, 2)), dict(distance_method="exact-1d"),
+     MethodUnavailable),
+    (exp.run_convergence_experiment, dict(entropy="mixed:a=0.7"), InadmissibleRegime),
+], ids=["experiment-foo", "sweep-exact-1d-p2", "experiment-inadmissible-regime"])
+def test_distance_method_is_checked_before_any_chain_runs(monkeypatch, run, overrides, error):
     def no_chains(*args, **kwargs):
         raise AssertionError("chains ran before the distance method was checked")
 
     monkeypatch.setattr(exp, "run_parallel_chains", no_chains)
-    with pytest.raises(MethodUnavailable):
+    with pytest.raises(error):
         run(small_gamma_config(**overrides))
 
 

@@ -157,6 +157,13 @@ def test_parse_schedule():
     assert smp.parse_schedule("harmonic:a=0.3").a == 0.3
     with pytest.raises(InvalidParameters):
         smp.parse_schedule("linear:c=1")
+    # Schedules carry no name: each kind round-trips to an equal schedule.
+    assert smp.parse_schedule("constant:h=0.05") == smp.constant_schedule(0.05)
+    assert smp.parse_schedule("harmonic:a=0.3") == smp.harmonic_schedule(0.3)
+    assert smp.parse_schedule("Constant: h = 0.05") == smp.constant_schedule(0.05)
+    for spec in ("constant:h=", "constant:h=0.05,0.1", "constant:a=0.05", "harmonic:a=0.3;h=1"):
+        with pytest.raises(InvalidParameters):
+            smp.parse_schedule(spec)
 
 
 # -------------------------------------------------------------------- gate

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hrlmc import target as tgt
-from hrlmc.errors import Divergent, InvalidParameters, Unavailable
+from hrlmc import entropy as ent, target as tgt
+from hrlmc.errors import Divergent, DomainViolation, InvalidParameters, Unavailable
 
 LD = np.longdouble
 
@@ -265,3 +265,27 @@ def test_parse_target_round_trip():
     with pytest.raises(InvalidParameters):
         tgt.parse_target("cauchy:a=1")
     assert tgt.parse_target(gamma4.name).name == gamma4.name
+    for target in tgt.register_table2_targets():
+        assert tgt.parse_target(target.name).name == target.name
+    assert tgt.parse_target("gaussian:A=1,2").name == gauss.name
+    assert tgt.parse_target(" Gaussian: A = diag(1, 2) ").name == gauss.name
+    assert tgt.parse_target("GAMMA:a=5;b=1").name == gamma.name
+    for spec in ("gaussian:A=diag()", "gamma:a=5;1", "beta:a1=4,4;a2=4", "gamma:b=1"):
+        with pytest.raises(InvalidParameters):
+            tgt.parse_target(spec)
+
+
+def test_gaussian_target_rejects_empty_matrix():
+    with pytest.raises(InvalidParameters, match="must not be empty"):
+        tgt.gaussian_target(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("method", ["quadrature", "monte-carlo"])
+def test_r_outside_entropy_domain_names_the_estimate(method):
+    # Gamma(5, 1) puts mass above 1, outside the logit barrier's domain (0, 1).
+    gamma = tgt.gamma_target([5.0], [1.0])
+    with pytest.raises(DomainViolation) as err:
+        tgt.r_constant(gamma, method=method, n=1000, entropy=ent.logit_barrier(1))
+    assert str(err.value).startswith(
+        "R of gamma:a=5;b=1 under logit failed: the target's law leaves the entropy's domain"
+    )
