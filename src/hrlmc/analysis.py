@@ -301,10 +301,6 @@ class BoundReport:
         d["formulas"] = dict(self.formulas)
         return d
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def bound_report(report: AssumptionReport, h: float, p: int,
                  w0: float | None = None) -> BoundReport:
@@ -357,8 +353,6 @@ class ComplexityReport:
     eps: float
     eps_window: float
     variants: dict = field(default_factory=dict)
-    variant_formulas: dict = field(default_factory=dict)
-    label: str = "order formula, constant = 1"
 
 
 def iteration_complexity(report: AssumptionReport, p: int, eps: float) -> ComplexityReport:
@@ -392,25 +386,18 @@ def iteration_complexity(report: AssumptionReport, p: int, eps: float) -> Comple
     value = p * M * R * (math.sqrt(M) + kappa) ** 2 / gap**3 * log_term
 
     variants = {}
-    variant_formulas = {}
     if kappa == 0.0:
         # Specialization = the general formula with kappa = 0.  The published
         # order form carries a different constant (hidden by the "up to
-        # constants" statement); report it alongside, labeled.
+        # constants" statement); report it alongside.
         kt0 = kappa_tilde(0.0, m, M, delta)
         variants["kappa_zero"] = p * M * M * R / (2.0 * m - kt0 * kt0) ** 3 * log_term
-        variant_formulas["kappa_zero"] = (
-            "p*M^2*R / (2*m - kappa_tilde0^2)^3 * log(1/eps)/eps^2, "
-            "kappa_tilde0^2 = delta*(4*M + delta)/(2*(m + M))"
-        )
         denom = 4.0 * m * m + 4.0 * M * (m - delta) - delta * delta
         variants["kappa_zero_order_form"] = (
             p * (m + M) ** 3 * M * M * R / denom**3 * log_term
         )
-        variant_formulas["kappa_zero_order_form"] = _FORMULAS["k_eps_kappa_zero"]
         if delta == 0.0:
             variants["classical"] = p * M * M / (m**3) * log_term
-            variant_formulas["classical"] = _FORMULAS["k_eps_classical"]
 
     return ComplexityReport(
         k_eps=math.ceil(value),
@@ -419,7 +406,6 @@ def iteration_complexity(report: AssumptionReport, p: int, eps: float) -> Comple
         eps=float(eps),
         eps_window=float(eps_window),
         variants=variants,
-        variant_formulas=variant_formulas,
     )
 
 

@@ -9,6 +9,7 @@ invalid input, 2 assumption-gate failure, 3 numerical breakdown.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import sys
@@ -38,12 +39,17 @@ _BREAKDOWN_ERRORS = (NumericalBreakdown, Divergent)
 _CSV_ROWS = 65536  # trace rows formatted and written per block
 
 
-def _write_text(path, text):
+def _output(path):
+    """The output stream as a context manager: stdout for None, ``""`` or ``"-"``, else ``path``.
+
+    A file that cannot be opened for writing is invalid input.
+    """
     if path in (None, "", "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as err:
+        raise InvalidParameters(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def _read_input(path) -> str:
@@ -95,16 +101,13 @@ def _cmd_sample(args) -> int:
     target = parse_target(args.target)
     entropy = parse_entropy(args.entropy, dim=target.dim)
     schedule = constant_schedule(args.h) if args.h is not None else parse_schedule(args.schedule)
-    x0 = parse_numbers(args.x0) if args.x0 else entropy.interior_point()
+    x0 = parse_numbers(args.x0) if args.x0 else None
     trace = run_parallel_chains(
         entropy, target, schedule, x0, args.steps, args.seed, args.chains,
         record_every=args.thin, burn_in=args.burn_in, override_gate=args.override_gate,
     )
-    if args.out in (None, "", "-"):
-        _write_trace_csv(sys.stdout, trace)
-    else:
-        with open(args.out, "w") as fh:
-            _write_trace_csv(fh, trace)
+    with _output(args.out) as fh:
+        _write_trace_csv(fh, trace)
     rejections = int(trace.rejections.sum())
     print(f"sampled {args.chains} chain(s) x {args.steps} steps, {rejections} rejections",
           file=sys.stderr)
@@ -136,8 +139,9 @@ def _cmd_distance(args) -> int:
         "n_points": est.n_points,
         "aux": est.aux,
     }
-    _write_text(args.out, _json_text(payload))
-    if args.out not in (None, "", "-"):
+    with _output(args.out) as fh:
+        fh.write(_json_text(payload))
+    if fh is not sys.stdout:
         print(_fmt(est.value))
     return 0
 
@@ -148,7 +152,8 @@ def _cmd_check(args) -> int:
     report = analysis.estimate_constants(
         entropy, target, n_pairs=args.pairs, seed=args.seed, r_method=args.r_method
     )
-    _write_text(args.out, _json_text(report.to_dict()))
+    with _output(args.out) as fh:
+        fh.write(_json_text(report.to_dict()))
     status = "admissible" if report.admissible else "NOT admissible"
     print(
         f"{entropy.name} / {target.name}: kappa_tilde={_fmt(report.kappa_tilde)} "
@@ -174,15 +179,16 @@ def _cmd_bound(args) -> int:
         payload["k_eps_value"] = complexity.value
         payload["k_eps_formula"] = complexity.formula
         payload["k_eps_variants"] = complexity.variants
-    _write_text(args.out, _json_text(payload))
+    with _output(args.out) as fh:
+        fh.write(_json_text(payload))
     return 0
 
 
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_text(_read_input(args.config))
     result = run_convergence_experiment(config)
-    out = args.out or config.out
-    _write_text(out, result.to_csv())
+    with _output(args.out or config.out) as fh:
+        fh.write(result.to_csv())
     print(
         f"rho={_fmt(result.rho)} floor={_fmt(result.floor)} "
         f"W0_hat={_fmt(result.w0_hat)} rejections={result.total_rejections}",
@@ -195,8 +201,8 @@ def _cmd_sweep(args) -> int:
     config = ExperimentConfig.from_text(_read_input(args.config))
     dims = parse_numbers(args.dims, int) if args.dims else None
     result = run_dimension_sweep(config, dims)
-    out = args.out or config.out
-    _write_text(out, result.to_csv())
+    with _output(args.out or config.out) as fh:
+        fh.write(result.to_csv())
     print(f"loglog_slope={_fmt(result.slope)}", file=sys.stderr)
     return 0
 
@@ -230,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--burn-in", type=int, default=0)
     sp.add_argument("--thin", type=int, default=1)
-    sp.add_argument("--x0", default=None, help="comma-separated start point")
+    sp.add_argument("--x0", default=None,
+                    help="comma-separated start point (default: the entropy's interior point)")
     sp.add_argument("--out", default="-")
     sp.add_argument("--override-gate", action="store_true")
     sp.set_defaults(func=_cmd_sample)

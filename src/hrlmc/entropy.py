@@ -22,7 +22,8 @@ import math
 import numpy as np
 from scipy.special import wrightomega
 
-from .errors import DomainViolation, DualDomainViolation, InvalidParameters, parse_spec
+from .errors import (DomainViolation, DualDomainViolation, InvalidParameters, format_number,
+                     parse_spec)
 
 # Points closer than this to the domain boundary are rejected: Hessians blow
 # up there and every domain is open.
@@ -282,7 +283,7 @@ class MixedEntropy(Entropy):
             raise InvalidParameters("mixed entropy weights must lie in [0, 1)")
         self.weights = a
         self.dim = a.size
-        self.name = "mixed:a=" + ",".join(format(w, "g") for w in a)
+        self.name = "mixed:a=" + ",".join(map(format_number, a))
         self.kappa_declared = math.sqrt(2.0 / (1.0 - float(np.max(a))))
         self.proposal = "component-wise log-uniform(1e-3, 1e3)"
         self._lower = BOUNDARY_GUARD
@@ -373,7 +374,7 @@ class ScaledEntropy(Entropy):
         self.alpha = alpha
         self._sqrt_alpha = math.sqrt(alpha)
         self.dim = base.dim
-        self.name = f"scaled:{alpha:g}*{base.name}"
+        self.name = f"scaled:{format_number(alpha)}*{base.name}"
         if base.kappa_declared is None:
             self.kappa_declared = None
         else:

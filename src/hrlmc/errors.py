@@ -80,6 +80,17 @@ def parse_number(text, kind=float):
     raise InvalidParameters(f"cannot parse {text!r} as a finite {kind.__name__}")
 
 
+def format_number(value):
+    """``value`` written so that ``parse_number`` reads it back unchanged.
+
+    ``format(value, "g")`` when that reads back to ``value``, else the
+    shortest round-trip repr: ``5`` stays ``5``, ``5.1234567`` keeps every digit.
+    """
+    value = float(value)
+    text = format(value, "g")
+    return text if float(text) == value else repr(value)
+
+
 def parse_numbers(text, kind=float):
     """The numbers of a comma list such as ``1,2,4``; empty tokens are skipped."""
     return [parse_number(tok, kind) for tok in map(str.strip, text.split(",")) if tok]
@@ -90,8 +101,8 @@ def parse_spec(spec):
 
     ``,`` and ``;`` both separate values, a token holding ``=`` starts a new
     key, and empty tokens are skipped: ``gamma:a=5,5;b=1`` gives ``("gamma",
-    {"a": [5.0, 5.0], "b": [1.0]})``.  A value before any key, or a key
-    without values, raises InvalidParameters.
+    {"a": [5.0, 5.0], "b": [1.0]})``.  A value before any key, a repeated
+    key, or a key without values raises InvalidParameters.
     """
     head, _, rest = spec.partition(":")
     fields, key = {}, None
@@ -99,7 +110,9 @@ def parse_spec(spec):
         if "=" in token:
             key, _, token = token.partition("=")
             key = key.strip()
-            fields.setdefault(key, [])
+            if key in fields:
+                raise InvalidParameters(f"cannot parse {spec!r}: repeated key {key!r}")
+            fields[key] = []
         token = token.strip()
         if token and key is None:
             raise InvalidParameters(f"cannot parse {spec!r}: dangling value {token!r}")

@@ -32,6 +32,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -40,17 +41,21 @@ from .analysis import bound_report, estimate_constants
 from .entropy import parse_entropy
 from .errors import InvalidParameters, check_seed, parse_number, parse_numbers
 from .sampler import constant_schedule, parse_schedule, run_parallel_chains
-from .target import gamma_target, parse_target
+from .target import exact_sample, gamma_target, parse_target
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-_INT_FIELDS = {"steps", "chains", "base_seed", "reference_seeds", "assumption_pairs",
-               "plateau_window"}
-_FLOAT_TUPLE_FIELDS = {"x0"}
-_INT_TUPLE_FIELDS = {"checkpoints", "dims"}
+# (read, write) text converters for each field type of ExperimentConfig.
+_CONVERTERS = {
+    int: (lambda s: parse_number(s, int), str),
+    str: (str, str),
+    tuple[float, ...]: (lambda s: tuple(parse_numbers(s)), lambda v: ",".join(map(_fmt, v))),
+    tuple[int, ...]: (lambda s: tuple(parse_numbers(s, int)),
+                      lambda v: ",".join(str(int(x)) for x in v)),
+}
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,9 @@ class ExperimentConfig:
     """Flat key=value experiment description (INI-style, diff-friendly).
 
     ``x0`` holds either one coordinate broadcast to every chain or a full
-    starting point; ``checkpoints`` must include 0 so the initial distance
-    can anchor the bound curve.  ``reference_seeds``, ``assumption_pairs``
+    starting point; left empty, the chains start at the entropy's interior
+    point.  ``checkpoints`` must include 0 so the initial distance can anchor
+    the bound curve.  ``reference_seeds``, ``assumption_pairs``
     and ``plateau_window`` must be at least 1.
     """
 
@@ -68,14 +74,14 @@ class ExperimentConfig:
     schedule: str
     steps: int
     chains: int
-    x0: tuple = (1.0,)
-    checkpoints: tuple = ()
+    x0: tuple[float, ...] = ()
+    checkpoints: tuple[int, ...] = ()
     base_seed: int = 0
     reference_seeds: int = 20
     distance_method: str = "auto"
     assumption_pairs: int = 4000
     plateau_window: int = 3
-    dims: tuple = ()
+    dims: tuple[int, ...] = ()
     out: str = ""
 
     def __post_init__(self):
@@ -85,17 +91,9 @@ class ExperimentConfig:
                 raise InvalidParameters(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name in _FLOAT_TUPLE_FIELDS:
-                s = ",".join(_fmt(x) for x in v)
-            elif f.name in _INT_TUPLE_FIELDS:
-                s = ",".join(str(int(x)) for x in v)
-            else:
-                s = str(v)
-            lines.append(f"{f.name} = {s}")
-        return "\n".join(lines) + "\n"
+        types = get_type_hints(type(self))
+        return "".join(f"{f.name} = {_CONVERTERS[types[f.name]][1](getattr(self, f.name))}\n"
+                       for f in fields(self))
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -107,32 +105,22 @@ class ExperimentConfig:
             if "=" not in line:
                 raise InvalidParameters(f"config line {lineno}: expected key = value")
             key, _, val = line.partition("=")
-            raw[key.strip()] = val.strip()
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(raw) - known
+            key = key.strip()
+            if key in raw:
+                raise InvalidParameters(f"config line {lineno}: repeated key {key!r}")
+            raw[key] = val.strip()
+        types = get_type_hints(cls)
+        unknown = set(raw) - set(types)
         if unknown:
             raise InvalidParameters(f"unknown config keys: {sorted(unknown)}")
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(raw)
         if missing:
             raise InvalidParameters(f"config is missing keys: {sorted(missing)}")
-        kwargs = {}
-        for key, val in raw.items():
-            if key in _INT_FIELDS:
-                kwargs[key] = parse_number(val, int)
-            elif key in _FLOAT_TUPLE_FIELDS:
-                kwargs[key] = tuple(parse_numbers(val))
-            elif key in _INT_TUPLE_FIELDS:
-                kwargs[key] = tuple(parse_numbers(val, int))
-            else:
-                kwargs[key] = val
-        return cls(**kwargs)
+        return cls(**{key: _CONVERTERS[types[key]][0](val) for key, val in raw.items()})
 
 
 def _reference_cloud(target, n, base_seed, tag, k, rep):
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(int(base_seed), tag, int(k), int(rep)))
-    )
-    return target.sample_exact(rng, n)
+    return exact_sample(target, n, (int(base_seed), tag, int(k), int(rep)))
 
 
 def _usable_cpus() -> int:
@@ -199,8 +187,8 @@ def _checkpoint_distances(entropy, target, schedule, config, seed, ks, pair):
     """
     method = metrics.resolve_method(config.distance_method, config.chains, config.chains,
                                     target.dim)
-    trace = run_parallel_chains(entropy, target, schedule, config.x0, config.steps, seed,
-                                config.chains)
+    trace = run_parallel_chains(entropy, target, schedule, config.x0 or None, config.steps,
+                                seed, config.chains)
     clouds = _embedded_clouds(entropy, trace, ks)
     reps = config.reference_seeds
 
@@ -396,8 +384,8 @@ def moment_plateau_gaussian(target, h, n_chains, n_steps, burn_in, seed,
     """
     entropy = parse_entropy("euclidean", dim=target.dim)
     trace = run_parallel_chains(
-        entropy, target, constant_schedule(h), np.zeros(target.dim),
-        n_steps, seed, n_chains, record_every=record_every, burn_in=burn_in,
+        entropy, target, constant_schedule(h), None, n_steps, seed, n_chains,
+        record_every=record_every, burn_in=burn_in,
     )
     pooled = trace.points.reshape(-1, target.dim)
     mean = pooled.mean(axis=0)

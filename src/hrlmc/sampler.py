@@ -60,6 +60,7 @@ from .errors import (
     check_seed,
     parse_spec,
 )
+from .target import exact_sample
 
 MAX_RETRIES = 50
 MAX_HALVINGS = 40
@@ -174,7 +175,8 @@ def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
     child on; the base is advanced past them); the batch update applies the
     same elementwise arithmetic to every row, so thread or batch layout cannot
     change results.  ``x0`` of shape (1,) or (p,) starts every chain there;
-    one of shape (n_chains, p) gives each chain its own start.
+    one of shape (n_chains, p) gives each chain its own start, and None
+    starts every chain at ``entropy.interior_point()``.
     """
     if n_chains < 1:
         raise InvalidParameters("need at least one chain")
@@ -209,7 +211,7 @@ def _run_chains(entropy, target, schedule, x0, n_steps, keys, retry_keys, record
     p = entropy.dim
     record_ks = range(burn_in, n_steps + 1, record_every)
     _check_record_memory(n_chains, len(record_ks), p)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray(entropy.interior_point() if x0 is None else x0, dtype=float)
     if x0.shape not in ((1,), (p,), (n_chains, p)):
         raise InvalidParameters(
             f"x0 must have shape (1,), ({p},) or ({n_chains}, {p}), not {x0.shape}")
@@ -275,8 +277,8 @@ def reference_chain(entropy, target, s: float, substeps: int, seed,
     Draws L0 from the exact sampler and advances the HRLMC iterate with step
     s / substeps; returns (grad_phi(L0), grad_phi(L_s)) for the increment
     test.  Replica c is chain c of ``run_parallel_chains`` at this seed, so
-    it owns its noise and retry streams; the exact start draws from
-    ``default_rng(seed)``.
+    it owns its noise and retry streams; the exact start is
+    ``exact_sample(target, n_replicas, seed)``.
     """
     if not target.has_exact_sampler:
         raise Unavailable(f"{target.name}: reference chain needs an exact sampler")
@@ -284,7 +286,7 @@ def reference_chain(entropy, target, s: float, substeps: int, seed,
         raise InvalidParameters("substeps must be at least 100")
     if s < 0.0:
         raise InvalidParameters("time span must be nonnegative")
-    X0 = target.sample_exact(np.random.default_rng(check_seed(seed)), n_replicas)
+    X0 = exact_sample(target, n_replicas, seed)
     Y0 = entropy.grad(X0)
     if s == 0.0:
         return Y0, Y0.copy()

@@ -36,7 +36,7 @@ from scipy import integrate
 
 from . import entropy as _entropy
 from .errors import (Divergent, DomainViolation, InvalidParameters, Unavailable, check_seed,
-                     parse_spec)
+                     format_number, parse_spec)
 
 
 class Target:
@@ -153,9 +153,10 @@ def gaussian_target(A) -> Target:
         z = rng.standard_normal((n, p))
         return z @ chol.T
 
-    diag_label = ",".join(format(v, "g") for v in np.diag(A))
+    diag_label = ",".join(map(format_number, np.diag(A)))
+    diagonal = np.array_equal(A, np.diag(np.diag(A)))
     out = Target(
-        name=f"gaussian:A=diag({diag_label})" if np.allclose(A, np.diag(np.diag(A))) else "gaussian",
+        name=f"gaussian:A=diag({diag_label})" if diagonal else "gaussian",
         dim=p,
         paired_entropy="euclidean",
         potential=potential,
@@ -218,9 +219,7 @@ def gamma_target(a, b) -> Target:
 
     r_norm = float(np.sum(b * b / ((a - 1.0) * (a - 2.0))))
     r_tab = float(np.sum(np.exp(_lgamma(a - 2.0) - (a - 2.0) * np.log(b))))
-    name = "gamma:a=" + ",".join(format(v, "g") for v in a) + ";b=" + ",".join(
-        format(v, "g") for v in b
-    )
+    name = "gamma:a=" + ",".join(map(format_number, a)) + ";b=" + ",".join(map(format_number, b))
     out = Target(
         name=name,
         dim=p,
@@ -278,7 +277,7 @@ def beta_target(a1, a2) -> Target:
         math.lgamma(a1) + math.lgamma(a2 - 2.0) - math.lgamma(s - 2.0)
     )
     return Target(
-        name=f"beta:a1={a1:g},a2={a2:g}",
+        name=f"beta:a1={format_number(a1)},a2={format_number(a2)}",
         dim=1,
         paired_entropy="logit",
         potential=potential,

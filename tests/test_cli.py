@@ -313,6 +313,31 @@ def test_unreadable_or_empty_input_file_is_invalid_input(argv, files, err, tmp_p
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "distance", "check", "bound", "experiment",
+                                     "sweep"])
+def test_unwritable_output_is_invalid_input(command, tmp_path, capsys):
+    # Each command runs to completion, then fails to open its output file.
+    np.savetxt(tmp_path / "a.csv", np.arange(1.0, 5.0), delimiter=",")
+    report = tmp_path / "report.json"
+    assert run_cli(["check", "--entropy", "burg", "--target", "gamma:a=5,b=1",
+                    "--pairs", "5", "--out", str(report)]) == 0
+    (tmp_path / "exp.ini").write_text(_CONFIG_0)
+    argv = {
+        "sample": _SAMPLE + ["--h", "0.05"],
+        "distance": _CLOUD + ["--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "a.csv")],
+        "check": ["check", "--entropy", "burg", "--target", "gamma:a=5,b=1", "--pairs", "5"],
+        "bound": ["bound", "--report", str(report), "--h", "0.05", "--p", "1"],
+        "experiment": ["experiment", "--config", str(tmp_path / "exp.ini")],
+        "sweep": ["sweep", "--config", str(tmp_path / "exp.ini"), "--dims", "1"],
+    }[command]
+    capsys.readouterr()
+    out = tmp_path / "missing" / "out.csv"
+    assert run_cli([*argv, "--out", str(out)]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"error: cannot write {out}: No such file or directory"), stderr
+    assert "Traceback" not in stderr
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["sample", "--help"])

@@ -305,6 +305,8 @@ def test_parse_entropy_names():
     assert ent.parse_entropy("mixed:a=0.3;0.7").name == mix.name
     assert ent.parse_entropy("MIXED: a=0.3, 0.7").name == mix.name
     assert ent.parse_entropy(" Burg ").name == "burg"
+    assert ent.parse_entropy("mixed:a=0.1234567").name == "mixed:a=0.1234567"
+    assert ent.burg(1).scaled(2.0000001).name == "scaled:2.0000001*burg"
     for spec in ("burg:x", "burg:a=1", "mixed:a=", "mixed:b=0.3"):
         with pytest.raises(InvalidParameters):
             ent.parse_entropy(spec)

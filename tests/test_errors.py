@@ -26,7 +26,9 @@ def test_parse_spec(spec, parsed):
     ("gamma:a=,b=1", "cannot parse 'a': a key needs at least one value"),
     ("gamma:a=q,b=1", "cannot parse 'q' as a finite float"),
     ("constant:h=inf", "cannot parse 'inf' as a finite float"),
-], ids=["dangling", "no-values", "no-values-before-key", "malformed", "non-finite"])
+    ("gamma:a=5;b=1;a=6", "cannot parse 'gamma:a=5;b=1;a=6': repeated key 'a'"),
+], ids=["dangling", "no-values", "no-values-before-key", "malformed", "non-finite",
+        "repeated-key"])
 def test_parse_spec_rejects(spec, message):
     with pytest.raises(InvalidParameters) as err:
         parse_spec(spec)

@@ -46,6 +46,21 @@ def test_config_accepts_comments_and_rejects_unknown_keys():
         exp.ExperimentConfig.from_text("entropy burg\n")
 
 
+def test_config_rejects_a_repeated_key():
+    text = "entropy = burg\ntarget = gamma:a=5;b=1\nschedule = constant:h=0.05\nsteps = 10\n"
+    with pytest.raises(InvalidParameters, match="config line 5: repeated key 'steps'"):
+        exp.ExperimentConfig.from_text(text + "steps = 20\nchains = 8\n")
+
+
+def test_config_without_x0_starts_at_the_interior_point():
+    # The logit barrier's interior point is 0.5; 1.0 lies outside its domain.
+    cfg = dict(entropy="logit", target="beta:a1=4,a2=4", schedule="constant:h=0.05", steps=10,
+               chains=16, checkpoints=(0, 10), reference_seeds=2, assumption_pairs=50)
+    res = exp.run_convergence_experiment(exp.ExperimentConfig(**cfg))
+    assert res.to_csv() == exp.run_convergence_experiment(
+        exp.ExperimentConfig(**cfg, x0=(0.5,))).to_csv()
+
+
 # ---------------------------------------------------------------- experiment
 
 

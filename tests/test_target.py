@@ -270,7 +270,14 @@ def test_parse_target_round_trip():
     assert tgt.parse_target("gaussian:A=1,2").name == gauss.name
     assert tgt.parse_target(" Gaussian: A = diag(1, 2) ").name == gauss.name
     assert tgt.parse_target("GAMMA:a=5;b=1").name == gamma.name
-    for spec in ("gaussian:A=diag()", "gamma:a=5;1", "beta:a1=4,4;a2=4", "gamma:b=1"):
+    # A name keeps every digit, so it rebuilds the object it names.
+    for spec, name in (("gamma:a=5.1234567,b=1", "gamma:a=5.1234567;b=1"),
+                       ("beta:a1=4.0000001,a2=4", "beta:a1=4.0000001,a2=4"),
+                       ("gaussian:A=diag(1.0000001,2)", "gaussian:A=diag(1.0000001,2)")):
+        assert tgt.parse_target(spec).name == name
+        assert tgt.parse_target(name).name == name
+    for spec in ("gaussian:A=diag()", "gamma:a=5;1", "beta:a1=4,4;a2=4", "gamma:b=1",
+                 "gamma:a=5;b=1;a=6"):
         with pytest.raises(InvalidParameters):
             tgt.parse_target(spec)
 
