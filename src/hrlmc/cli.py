@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import json
+import os
+import stat
 import sys
 import warnings
 
@@ -39,17 +42,42 @@ _BREAKDOWN_ERRORS = (NumericalBreakdown, Divergent)
 _CSV_ROWS = 65536  # trace rows formatted and written per block
 
 
+def _is_stdout(path) -> bool:
+    return path in (None, "", "-")
+
+
+def _cannot_write(path, err) -> InvalidParameters:
+    return InvalidParameters(f"cannot write {path}: {err.strerror or err}")
+
+
+def _check_output(path):
+    """Refuse, before any work, an output path under a missing directory or that is a directory.
+
+    Nothing is created, so a run that fails later still leaves no file;
+    ``_output`` opening the file after the run stays the check for permissions.
+    """
+    if _is_stdout(path):
+        return
+    try:
+        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as err:
+        raise _cannot_write(path, err) from err
+
+
 def _output(path):
     """The output stream as a context manager: stdout for None, ``""`` or ``"-"``, else ``path``.
 
     A file that cannot be opened for writing is invalid input.
     """
-    if path in (None, "", "-"):
+    if _is_stdout(path):
         return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "w")
     except OSError as err:
-        raise InvalidParameters(f"cannot write {path}: {err.strerror or err}") from err
+        raise _cannot_write(path, err) from err
 
 
 def _read_input(path) -> str:
@@ -68,36 +96,36 @@ def _json_text(obj) -> str:
 def _write_trace_csv(fh, trace):
     """Write the ``chain,step,h,x_1..x_p`` trace, ``_CSV_ROWS`` rows per write.
 
-    Every chain of one run shares its recorded steps and step sizes, so the
-    ``step,h,`` text of a row is formatted once for all chains.  ``"%.17g" %``
-    is the same conversion as ``format(v, ".17g")``, so the bytes match
-    ``_fmt``, including ``inf``, ``nan`` and ``-0``.
+    Every chain of one run shares its recorded steps and step sizes, so each
+    row is a template ``step,h,%.17g,...`` built once for all chains, and a
+    chain's block of rows is one ``%`` over its coordinates.  ``"%.17g" %`` is
+    the same conversion as ``format(v, ".17g")``, so the bytes match ``_fmt``,
+    including ``inf``, ``nan`` and ``-0``.
     """
     p = trace.points.shape[2]
     fh.write("chain,step,h," + ",".join(f"x_{j + 1}" for j in range(p)) + "\n")
-    step_h = [f"{k},{_fmt(h)}," for k, h in zip(trace.steps.tolist(), trace.step_sizes.tolist())]
+    coords = ",".join(["%.17g"] * p) + "\n"
+    # k is an int and _fmt(h) the digits of a float, so the only "%" in a
+    # template are its p conversions.
+    rows = [f"{k},{_fmt(h)},{coords}"
+            for k, h in zip(trace.steps.tolist(), trace.step_sizes.tolist())]
+    starts = range(0, len(rows), _CSV_ROWS)
+    blocks = [["", *rows[start:start + _CSV_ROWS]] for start in starts]
     for c, points in enumerate(trace.points):
-        chain = f"{c},"
-        for start in range(0, len(step_h), _CSV_ROWS):
-            block = points[start:start + _CSV_ROWS]
-            coords = list(map("%.17g".__mod__, block.ravel().tolist()))
-            if p > 1:
-                coords = list(map(",".join, zip(*[iter(coords)] * p)))
-            n = len(coords)
-            parts = [chain] * (4 * n)
-            parts[1::4] = step_h[start:start + n]
-            parts[2::4] = coords
-            parts[3::4] = ["\n"] * n
-            fh.write("".join(parts))
+        for start, block in zip(starts, blocks):
+            values = points[start:start + _CSV_ROWS].ravel().tolist()
+            fh.write(f"{c},".join(block) % tuple(values))
 
 
 def _cmd_sample(args) -> int:
     """Run the chains, then stream their trace CSV to ``--out`` (``-``: stdout).
 
-    The output is opened only after the run succeeds, so a gate failure or a
-    numerical breakdown leaves no file.  Memory is bounded by the recorded
+    A path under a missing directory is refused before the run; the output is
+    opened only after the run succeeds, so a gate failure or a numerical
+    breakdown leaves no file.  Memory is bounded by the recorded
     points (8 * chains * records * p bytes), not by the CSV text.
     """
+    _check_output(args.out)
     target = parse_target(args.target)
     entropy = parse_entropy(args.entropy, dim=target.dim)
     schedule = constant_schedule(args.h) if args.h is not None else parse_schedule(args.schedule)
@@ -129,6 +157,7 @@ def _load_cloud(path) -> np.ndarray:
 
 
 def _cmd_distance(args) -> int:
+    _check_output(args.out)
     a = _load_cloud(args.a)
     b = _load_cloud(args.b)
     entropy = parse_entropy(args.entropy, dim=a.shape[1])
@@ -147,6 +176,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _check_output(args.out)
     target = parse_target(args.target)
     entropy = parse_entropy(args.entropy, dim=target.dim)
     report = analysis.estimate_constants(
@@ -166,6 +196,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    _check_output(args.out)
     try:
         saved = json.loads(_read_input(args.report))
     except json.JSONDecodeError as err:
@@ -186,8 +217,10 @@ def _cmd_bound(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_text(_read_input(args.config))
+    out = args.out or config.out
+    _check_output(out)
     result = run_convergence_experiment(config)
-    with _output(args.out or config.out) as fh:
+    with _output(out) as fh:
         fh.write(result.to_csv())
     print(
         f"rho={_fmt(result.rho)} floor={_fmt(result.floor)} "
@@ -199,9 +232,11 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = ExperimentConfig.from_text(_read_input(args.config))
+    out = args.out or config.out
+    _check_output(out)
     dims = parse_numbers(args.dims, int) if args.dims else None
     result = run_dimension_sweep(config, dims)
-    with _output(args.out or config.out) as fh:
+    with _output(out) as fh:
         fh.write(result.to_csv())
     print(f"loglog_slope={_fmt(result.slope)}", file=sys.stderr)
     return 0

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import wrightomega
 
 from .errors import (DomainViolation, DualDomainViolation, InvalidParameters, format_number,
-                     parse_spec)
+                     parse_number, parse_spec)
 
 # Points closer than this to the domain boundary are rejected: Hessians blow
 # up there and every domain is open.
@@ -452,7 +452,17 @@ _FACTORIES = {"euclidean": euclidean, "burg": burg, "logit": logit_barrier,
 
 
 def parse_entropy(spec: str, dim: int | None = None) -> Entropy:
-    """Build an entropy from a CLI name such as ``burg`` or ``mixed:a=0.3,0.7``."""
+    """Build an entropy from a CLI name such as ``burg``, ``mixed:a=0.3,0.7`` or ``scaled:2*burg``.
+
+    ``scaled:<alpha>*<spec>`` is the ``ScaledEntropy`` name, so every entropy's
+    ``name`` parses back to it.
+    """
+    head, _, rest = spec.partition(":")
+    if head.strip().lower() == "scaled":
+        alpha, star, base = rest.partition("*")
+        if not star:
+            raise InvalidParameters("scaled entropy spec must look like scaled:2*burg")
+        return parse_entropy(base, dim).scaled(parse_number(alpha.strip()))
     head, fields = parse_spec(spec)
     if head == "mixed":
         if set(fields) != {"a"}:

@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, wire formats, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import struct
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from hrlmc import cli
+from hrlmc.sampler import Trace
 
 
 def run_cli(argv):
@@ -105,6 +107,22 @@ def test_sample_csv_blocks_cross_row_limit(monkeypatch, tmp_path):
     assert code == 0
     assert len(seen[0][0].steps) == 25  # blocks of 7, 7, 7 and 4 rows per chain
     assert out.read_text() == _per_value_csv(seen[0], 1)
+
+
+@pytest.mark.parametrize("n_recorded", [0, 5])
+def test_sample_csv_writer_on_extreme_values(n_recorded, monkeypatch):
+    # Values the sampler never records, in blocks that split each chain.
+    monkeypatch.setattr(cli, "_CSV_ROWS", 2)
+    extremes = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308, -1e308,
+                0.1, -2.5]
+    points = np.resize(extremes, (2, 5, 3))[:, :n_recorded]
+    trace = Trace(points, np.arange(n_recorded) * 3, np.full(n_recorded, 0.05),
+                  np.zeros(2, dtype=np.int64))
+    fh = io.StringIO()
+    cli._write_trace_csv(fh, trace)
+    assert fh.getvalue() == _per_value_csv(trace, 3)
+    if n_recorded == 0:
+        assert fh.getvalue() == "chain,step,h,x_1,x_2,x_3\n"
 
 
 def test_percent_g_matches_format():
@@ -316,7 +334,7 @@ def test_unreadable_or_empty_input_file_is_invalid_input(argv, files, err, tmp_p
 @pytest.mark.parametrize("command", ["sample", "distance", "check", "bound", "experiment",
                                      "sweep"])
 def test_unwritable_output_is_invalid_input(command, tmp_path, capsys):
-    # Each command runs to completion, then fails to open its output file.
+    # Each command refuses the path under a missing directory before its run.
     np.savetxt(tmp_path / "a.csv", np.arange(1.0, 5.0), delimiter=",")
     report = tmp_path / "report.json"
     assert run_cli(["check", "--entropy", "burg", "--target", "gamma:a=5,b=1",
@@ -336,6 +354,32 @@ def test_unwritable_output_is_invalid_input(command, tmp_path, capsys):
     stderr = capsys.readouterr().err
     assert stderr.startswith(f"error: cannot write {out}: No such file or directory"), stderr
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("command, run", [
+    ("sample", "run_parallel_chains"),
+    ("experiment", "run_convergence_experiment"),
+    ("sweep", "run_dimension_sweep"),
+])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_is_refused_before_the_run(command, run, where, monkeypatch,
+                                                     tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{run} ran before the output path was checked")
+
+    monkeypatch.setattr(cli, run, fail)
+    (tmp_path / "exp.ini").write_text(_CONFIG)
+    argv = {
+        "sample": _SAMPLE + ["--h", "0.05"],
+        "experiment": ["experiment", "--config", str(tmp_path / "exp.ini")],
+        "sweep": ["sweep", "--config", str(tmp_path / "exp.ini"), "--dims", "1"],
+    }[command]
+    out = tmp_path / "missing" / "out.csv" if where == "missing-dir" else tmp_path
+    assert run_cli([*argv, "--out", str(out)]) == 1
+    stderr = capsys.readouterr().err
+    reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
+    assert stderr.startswith(f"error: cannot write {out}: {reason}"), stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
 
 def test_help_exits_zero(capsys):

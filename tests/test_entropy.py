@@ -310,3 +310,22 @@ def test_parse_entropy_names():
     for spec in ("burg:x", "burg:a=1", "mixed:a=", "mixed:b=0.3"):
         with pytest.raises(InvalidParameters):
             ent.parse_entropy(spec)
+
+
+@pytest.mark.parametrize("entropy", [
+    ent.burg(1).scaled(2),
+    ent.mixed([0.3]).scaled(0.5),
+    ent.burg(1).scaled(2).scaled(3),
+    ent.burg(2).scaled(1.234567),
+], ids=["burg", "mixed", "nested", "seven-digits"])
+def test_scaled_entropy_name_parses_back(entropy):
+    parsed = ent.parse_entropy(entropy.name, dim=entropy.dim)
+    assert parsed.name == entropy.name
+    assert parsed.dim == entropy.dim
+    assert parsed.kappa_declared == entropy.kappa_declared
+
+
+@pytest.mark.parametrize("spec", ["scaled:burg", "scaled:0*burg", "scaled:x*burg"])
+def test_malformed_scaled_spec_is_invalid(spec):
+    with pytest.raises(InvalidParameters):
+        ent.parse_entropy(spec)
