@@ -24,7 +24,6 @@ from .sampler import (
     harmonic_schedule,
     largest_admissible_a,
     reference_chain,
-    run_chain,
     run_parallel_chains,
 )
 from .target import (

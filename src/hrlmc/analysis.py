@@ -307,6 +307,10 @@ def bound_report(report: AssumptionReport, h: float, p: int,
     """Evaluate every closed-form quantity of the constant-step bound."""
     if p < 1:
         raise InvalidParameters(f"dimension p must be at least 1, got {p}")
+    if not math.isfinite(h):
+        raise InvalidParameters(f"step size h must be finite, got {h}")
+    if w0 is not None and not 0.0 <= w0 < math.inf:
+        raise InvalidParameters(f"w0 must be a finite non-negative distance, got {w0}")
     if not report.admissible:
         raise InadmissibleRegime(
             f"kappa_tilde={report.kappa_tilde:.6g} and m={report.m:.6g}: "
@@ -364,6 +368,8 @@ def iteration_complexity(report: AssumptionReport, p: int, eps: float) -> Comple
     """
     if p < 1:
         raise InvalidParameters(f"dimension p must be at least 1, got {p}")
+    if not math.isfinite(eps):
+        raise InvalidParameters(f"eps must be finite, got {eps}")
     if not report.admissible:
         raise InadmissibleRegime("iteration complexity needs kappa_tilde < sqrt(2 m)")
     m, M, kappa, delta, R = report.m, report.M, report.kappa, report.delta, report.r_value

@@ -3,7 +3,8 @@
 Subcommands: sample, distance, check, bound, experiment, sweep.  All
 randomness flows from --seed / config seeds; re-running any command with the
 same arguments writes byte-identical output.  Exit codes: 0 success, 1
-invalid input, 2 assumption-gate failure, 3 numerical breakdown.
+invalid input or out of memory, 2 assumption-gate failure, 3 numerical
+breakdown.
 """
 
 from __future__ import annotations
@@ -333,6 +334,9 @@ def main(argv=None) -> int:
         return 3
     except HrlmcError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -10,9 +10,8 @@ self-concordance-like constant ``kappa`` bounding
 
 Every potential here is a sum of one-coordinate terms, so the metric is
 diagonal: the ``hessian_diag`` and ``hessian_sqrt_diag`` vectors are its only
-representation, and the dense ``hessian``/``hessian_sqrt`` matrices are
-views built from them.  Operations are vectorized over any number of
-leading axes: a point is an array of shape ``(..., dim)``.
+representation.  Operations are vectorized over any number of leading axes:
+a point is an array of shape ``(..., dim)``.
 """
 
 from __future__ import annotations
@@ -31,16 +30,15 @@ BOUNDARY_GUARD = 1e-12
 
 
 class Entropy:
-    """Base class: domain handling, dense-matrix views, shared plumbing.
+    """Base class: domain handling and shared plumbing.
 
     Subclasses implement the coordinate-wise maps (``_grad_unchecked``,
     ``_hessian_diag_unchecked`` and friends) and declare their domain in the
     constructor as bounds that ``contains`` and ``dual_contains`` test here:
     ``x >= _lower`` and ``x <= _upper`` (guard band applied) and
-    ``y < _dual_upper``, each a scalar, a per-coordinate vector or ``None``.  The
-    Hessian is diagonal; ``hessian`` and ``hessian_sqrt`` only embed the
-    diagonal in a dense matrix.  Instances are immutable after construction
-    and safe to share across threads.
+    ``y < _dual_upper``, each a scalar, a per-coordinate vector or ``None``.
+    Instances are immutable after construction and safe to share across
+    threads.
     """
 
     name: str
@@ -118,14 +116,6 @@ class Entropy:
         x = self._require_interior(x)
         return self._hessian_sqrt_diag_unchecked(x)
 
-    def hessian(self, x) -> np.ndarray:
-        """Dense SPD Hessian, shape ``(..., dim, dim)``."""
-        return _diag_embed(self.hessian_diag(x))
-
-    def hessian_sqrt(self, x) -> np.ndarray:
-        """Dense SPD square root of ``hessian(x)``."""
-        return _diag_embed(self.hessian_sqrt_diag(x))
-
     def _hessian_sqrt_diag_unchecked(self, x):
         return np.sqrt(self._hessian_diag_unchecked(x))
 
@@ -151,14 +141,6 @@ class Entropy:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} dim={self.dim}>"
-
-
-def _diag_embed(d: np.ndarray) -> np.ndarray:
-    p = d.shape[-1]
-    out = np.zeros(d.shape + (p,))
-    idx = np.arange(p)
-    out[..., idx, idx] = d
-    return out
 
 
 class EuclideanEntropy(Entropy):
@@ -448,7 +430,7 @@ def register_table1_entropies(dim: int = 3, mixed_weights=None) -> list[Entropy]
 
 
 _FACTORIES = {"euclidean": euclidean, "burg": burg, "logit": logit_barrier,
-              "boltzmann-shannon": boltzmann_shannon, "boltzmann_shannon": boltzmann_shannon}
+              "boltzmann-shannon": boltzmann_shannon}
 
 
 def parse_entropy(spec: str, dim: int | None = None) -> Entropy:

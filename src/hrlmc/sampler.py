@@ -10,12 +10,12 @@ exactly the classical unadjusted Langevin update
 ``x - h grad_f(x) + sqrt(2 h) xi``; the kernel keeps that expression shape so
 the reduction is bit-for-bit.
 
-Randomness contract, for every entry point (``run_chain``,
-``run_parallel_chains`` and ``reference_chain``, which all step through one
-loop): every chain owns a Philox stream derived from (base_seed, chain index)
-exactly as SeedSequence spawning derives it, and consumes exactly ``dim``
-normal draws per step.  Rejection retries draw ``dim`` normals per try from a
-separate per-chain child stream, started at the chain's first rejection and
+Randomness contract, for both entry points (``run_parallel_chains`` and
+``reference_chain``, which step through one loop): chain c of n, seeded by a
+non-negative integer, owns the Philox stream of
+``SeedSequence(seed).spawn(n)[c]`` and consumes exactly ``dim`` normal draws
+per step.  Rejection retries draw ``dim`` normals per try from a separate
+per-chain child stream, started at the chain's first rejection and
 read in buffered blocks of ``_RETRY_CHUNK`` tries.  The Philox keys come from
 numpy's SeedSequence hash, computed for all chains at once (``_philox_keys``),
 and one Generator serves every stream of a call: its state is set to a row's
@@ -57,7 +57,6 @@ from .errors import (
     InvalidParameters,
     NumericalBreakdown,
     Unavailable,
-    check_seed,
     parse_spec,
 )
 from .target import exact_sample
@@ -151,52 +150,34 @@ class Trace:
         return Trajectory(self.points[c], self.steps, self.step_sizes, int(self.rejections[c]))
 
 
-def run_chain(entropy, target, schedule: StepSchedule, x0, n_steps: int, seed,
-              record_every: int = 1, burn_in: int = 0,
-              override_gate: bool = False) -> Trajectory:
-    """Run one chain from the stream of ``SeedSequence(seed)``; deterministic given the seed."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(
-        check_seed(seed))
-    # The retry stream is the SeedSequence's first child, as ss.spawn(1) would build it.
-    return _run_chains(entropy, target, schedule, x0, n_steps,
-                       ss.generate_state(2, np.uint64)[None],
-                       _philox_keys(ss.entropy, ss.spawn_key, [0], pool_size=ss.pool_size),
-                       record_every, burn_in, override_gate)[0]
-
-
 def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
-                        n_steps: int, base_seed, n_chains: int,
+                        n_steps: int, base_seed: int, n_chains: int,
                         record_every: int = 1, burn_in: int = 0,
                         override_gate: bool = False) -> Trace:
     """Run independent chains into one Trace; bitwise identical to serial runs.
 
-    Chain c (row c of the trace) runs from the stream of the c-th SeedSequence
-    spawned from the base seed (from a SeedSequence base, its next unspawned
-    child on; the base is advanced past them); the batch update applies the
-    same elementwise arithmetic to every row, so thread or batch layout cannot
-    change results.  ``x0`` of shape (1,) or (p,) starts every chain there;
-    one of shape (n_chains, p) gives each chain its own start, and None
-    starts every chain at ``entropy.interior_point()``.
+    Chain c (row c of the trace) runs from the stream of
+    ``SeedSequence(base_seed).spawn(n_chains)[c]`` for a non-negative integer
+    ``base_seed``; the batch update applies the same elementwise arithmetic
+    to every row, so thread or batch layout cannot change results.  ``x0`` of
+    shape (1,) or (p,) starts every chain there; one of shape (n_chains, p)
+    gives each chain its own start, and None starts every chain at
+    ``entropy.interior_point()``.
     """
-    if n_chains < 1:
-        raise InvalidParameters("need at least one chain")
-    if isinstance(base_seed, np.random.SeedSequence):
-        seed_entropy, spawn_key = base_seed.entropy, base_seed.spawn_key
-        pool_size, first = base_seed.pool_size, base_seed.n_children_spawned
-        # n_children_spawned is read-only: spawning is the only way to advance it.
-        base_seed.spawn(n_chains)
-    else:
-        seed_entropy, spawn_key, pool_size, first = base_seed, (), _POOL_SIZE, 0
-    children = np.arange(first, first + n_chains, dtype=np.uint64)
+    if not isinstance(base_seed, (int, np.integer)) or base_seed < 0:
+        raise InvalidParameters(f"a seed must be a non-negative integer, got {base_seed!r}")
+    # A child index is one uint32 word of the spawn key.
+    if not 1 <= n_chains <= _MASK32:
+        raise InvalidParameters(f"need 1 to 2**32 - 1 chains, got {n_chains}")
+    children = np.arange(n_chains, dtype=np.uint32)
     # Chain c's retry stream is the first child of its SeedSequence.
-    return _run_chains(entropy, target, schedule, x0, n_steps,
-                       _philox_keys(seed_entropy, spawn_key, children, pool_size=pool_size),
-                       _philox_keys(seed_entropy, spawn_key, children, (0,), pool_size),
-                       record_every, burn_in, override_gate)
+    return _run_rows(entropy, target, schedule, x0, n_steps,
+                     _philox_keys(base_seed, children), _philox_keys(base_seed, children, (0,)),
+                     record_every, burn_in, override_gate)
 
 
-def _run_chains(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_every,
-                burn_in, override_gate) -> Trace:
+def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_every,
+              burn_in, override_gate) -> Trace:
     """Run one chain per row of ``keys``, all rows of one batch.
 
     Row c draws its noise from the Philox stream of ``keys[c]`` and its
@@ -298,52 +279,31 @@ def reference_chain(entropy, target, s: float, substeps: int, seed,
 # ----------------------------------------------------------------- internals
 
 
-def _philox_keys(entropy, spawn_key, children, suffix=(), pool_size=_POOL_SIZE) -> np.ndarray:
+def _philox_keys(seed, children, suffix=()) -> np.ndarray:
     """``(len(children), 2)`` uint64 Philox keys, one pass for all children.
 
-    Row i equals ``SeedSequence(entropy, spawn_key=spawn_key + (children[i],)
-    + suffix, pool_size=pool_size).generate_state(2, np.uint64)`` bit for
-    bit.  Children differ only in their spawn-key words, so every hash
-    constant, and every pool word mixed before a child's words, is one Python
-    int for all of them; only the words from the child's on are uint32 arrays.
+    Row i equals ``generate_state(2, np.uint64)`` of child ``children[i]``
+    of ``SeedSequence(seed)`` (with ``suffix=(0,)``, of that child's first
+    child) bit for bit, for an integer seed and child indices below 2**32.
+    Children differ only in their spawn-key word, so every hash constant,
+    and every pool word mixed before it, is one Python int for all of them;
+    only the words from the child's on are uint32 arrays.
     """
-    children = np.asarray(children, dtype=np.uint64)
-    run = _uint32_words(entropy)
-    # The spawn key is nonempty, so numpy zero-pads the run entropy to the pool size.
-    head = run + [0] * (pool_size - len(run)) + _uint32_words(spawn_key)
-    tail = _uint32_words(suffix)
-    low = (children & _MASK32).astype(np.uint32)
-    high = (children >> np.uint64(32)).astype(np.uint32)
-    one_word = high == 0  # a child index below 2**32 is one word, others two
-    keys = np.empty((children.size, 2), dtype=np.uint64)
-    keys[one_word] = _seed_state_keys(head + [low[one_word]] + tail, pool_size)
-    if not one_word.all():
-        keys[~one_word] = _seed_state_keys(
-            head + [low[~one_word], high[~one_word]] + tail, pool_size)
-    return keys
+    n = int(seed)
+    words = [n & _MASK32]  # numpy's little-endian uint32 words of the seed
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    # The spawn key is nonempty, so numpy zero-pads the seed's words to the pool size.
+    words += [0] * (_POOL_SIZE - len(words))
+    return _seed_state_keys(words + [np.asarray(children, dtype=np.uint32), *suffix])
 
 
-def _uint32_words(seed) -> list:
-    """numpy's little-endian uint32 words of an integer seed or a sequence of them."""
-    if isinstance(seed, (int, np.integer)):
-        n = int(check_seed(seed))
-        words = [n & _MASK32]
-        while n > _MASK32:
-            n >>= 32
-            words.append(n & _MASK32)
-        return words
-    if isinstance(seed, np.ndarray):
-        seed = seed.tolist()
-    if not isinstance(seed, (list, tuple, range)):
-        raise InvalidParameters(f"cannot seed a chain from {seed!r}")
-    return [word for item in seed for word in _uint32_words(item)]
-
-
-def _seed_state_keys(words, pool_size) -> np.ndarray:
+def _seed_state_keys(words) -> np.ndarray:
     """SeedSequence pool mixing and ``generate_state(2, np.uint64)`` over ``words``.
 
     Each word is a Python int shared by every child or a uint32 array with
-    one entry per child; ``len(words) > pool_size``.
+    one entry per child; ``len(words) > _POOL_SIZE``.
     """
     def hashmix(value, hash_const, mult):
         value = value ^ hash_const
@@ -357,22 +317,22 @@ def _seed_state_keys(words, pool_size) -> np.ndarray:
 
     hash_const = _INIT_A
     pool = []
-    for word in words[:pool_size]:
+    for word in words[:_POOL_SIZE]:
         value, hash_const = hashmix(word, hash_const, _MULT_A)
         pool.append(value)
-    for src in range(pool_size):
-        for dst in range(pool_size):
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
             if src != dst:
                 value, hash_const = hashmix(pool[src], hash_const, _MULT_A)
                 pool[dst] = mix(pool[dst], value)
-    for word in words[pool_size:]:
-        for dst in range(pool_size):
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
             value, hash_const = hashmix(word, hash_const, _MULT_A)
             pool[dst] = mix(pool[dst], value)
     hash_const = _INIT_B
     state = []
-    for i in range(4):
-        value, hash_const = hashmix(pool[i % pool_size], hash_const, _MULT_B)
+    for word in pool:
+        value, hash_const = hashmix(word, hash_const, _MULT_B)
         state.append(np.asarray(value, dtype=np.uint64))
     # Little-endian pairs of uint32 words make the two uint64 key words.
     return np.stack([state[0] | (state[1] << np.uint64(32)),

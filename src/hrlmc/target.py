@@ -207,7 +207,7 @@ def gamma_target(a, b) -> Target:
         return (1.0 - a) / x + b
 
     def hessian(x):
-        return _entropy._diag_embed((a - 1.0) / (x * x))
+        return _diag_embed((a - 1.0) / (x * x))
 
     # numpy draws gamma(shape, scale) as scale * standard_gamma(shape), so this
     # is bitwise rng.gamma(shape=a, scale=1/b), without its two-array path.
@@ -262,7 +262,7 @@ def beta_target(a1, a2) -> Target:
         return (1.0 - a1) / x - (1.0 - a2) / (1.0 - x)
 
     def hessian(x):
-        return _entropy._diag_embed((a1 - 1.0) / (x * x) + (a2 - 1.0) / ((1.0 - x) * (1.0 - x)))
+        return _diag_embed((a1 - 1.0) / (x * x) + (a2 - 1.0) / ((1.0 - x) * (1.0 - x)))
 
     def sampler(rng, n):
         # Gamma-ratio construction keeps the draw deterministic given the rng.
@@ -294,6 +294,15 @@ def beta_target(a1, a2) -> Target:
         support=(0.0, 1.0),
         log_partition=math.lgamma(a1) + math.lgamma(a2) - math.lgamma(s),
     )
+
+
+def _diag_embed(d: np.ndarray) -> np.ndarray:
+    """The ``(..., p, p)`` matrices with diagonals ``d``, zero elsewhere."""
+    p = d.shape[-1]
+    out = np.zeros(d.shape + (p,))
+    idx = np.arange(p)
+    out[..., idx, idx] = d
+    return out
 
 
 def _lgamma(v):

@@ -266,7 +266,8 @@ def test_criterion_13_scaling_invariance():
     """(phi, h) and (alpha*phi, alpha*h) coincide; rho invariant, floor scales."""
     e = ent.burg(1)
     t = tgt.gamma_target([5.0], [1.0])
-    base_traj = smp.run_chain(e, t, smp.constant_schedule(0.05), [1.0], 200, seed=21)
+    base_traj = smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 200,
+                                        base_seed=21, n_chains=1)[0]
     kappa, m, M, delta, R = math.sqrt(2.0), 4.0, 4.0, 0.0, 1.0 / 12.0
     base_rep = _synthetic_report(kappa, m, M, delta, R)
     base_bound = ana.bound_report(base_rep, 0.05, 1)
@@ -274,10 +275,10 @@ def test_criterion_13_scaling_invariance():
     ok = True
     details = []
     for alpha in (0.5, 2.0, 10.0):
-        traj = smp.run_chain(
+        traj = smp.run_parallel_chains(
             e.scaled(alpha), t, smp.constant_schedule(alpha * 0.05), [1.0], 200,
-            seed=21, override_gate=True,
-        )
+            base_seed=21, n_chains=1, override_gate=True,
+        )[0]
         rel = float(np.max(np.abs(traj.points - base_traj.points)
                            / (1.0 + np.abs(base_traj.points))))
         rep = _synthetic_report(kappa / math.sqrt(alpha), m / alpha, M / alpha,

@@ -148,6 +148,8 @@ _CONFIG = ("entropy = burg\ntarget = gamma:a=5;b=1\nschedule = constant:h=0.2\n"
 
 
 _UNPARSED = "error: cannot parse"
+_BOUND = ["bound", "--p", "1"]
+_BAD_W0 = "error: w0 must be a finite non-negative distance, got "
 
 
 @pytest.mark.parametrize("argv, config, err", [
@@ -170,17 +172,36 @@ _UNPARSED = "error: cannot parse"
      None, _UNPARSED),
     (_SAMPLE + ["--h", "0.05", "--entropy", "euclidean", "--target", "gaussian:A=diag()"],
      None, _UNPARSED),
+    (_BOUND + ["--h", "nan"], None, "error: step size h must be finite, got nan"),
+    (_BOUND + ["--h", "inf"], None, "error: step size h must be finite, got inf"),
+    (_BOUND + ["--h", "0.05", "--eps", "nan"], None, "error: eps must be finite, got nan"),
+    (_BOUND + ["--h", "0.05", "--eps", "inf"], None, "error: eps must be finite, got inf"),
+    (_BOUND + ["--h", "0.05", "--w0", "nan"], None, _BAD_W0),
+    (_BOUND + ["--h", "0.05", "--w0", "inf"], None, _BAD_W0),
+    (_BOUND + ["--h", "0.05", "--w0", "-1"], None, _BAD_W0),
 ], ids=["schedule", "x0", "mixed-weights", "target-list", "gaussian-diag", "config-int",
         "sweep-dims", "h-inf", "harmonic-inf", "x0-nan", "gamma-inf", "gaussian-diag-inf",
-        "gaussian-scalar-inf", "gaussian-diag-empty"])
+        "gaussian-scalar-inf", "gaussian-diag-empty", "bound-h-nan", "bound-h-inf",
+        "bound-eps-nan", "bound-eps-inf", "bound-w0-nan", "bound-w0-inf", "bound-w0-negative"])
 def test_malformed_number_is_invalid_input(argv, config, err, tmp_path, capsys):
+    _assert_invalid_input(argv, config, err, tmp_path, capsys)
+
+
+def _assert_invalid_input(argv, config, err, tmp_path, capsys):
+    """``argv``, given its config file or a saved report, exits 1 and writes nothing."""
     if config is not None:
         path = tmp_path / "exp.ini"
         path.write_text(config)
         argv = [*argv, "--config", str(path)]
-    assert run_cli([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+    if argv[0] == "bound":
+        report = tmp_path / "report.json"
+        assert run_cli(["check", "--entropy", "burg", "--target", "gamma:a=5,b=1",
+                        "--pairs", "5", "--out", str(report)]) == 0
+        capsys.readouterr()
+        argv = [*argv, "--report", str(report)]
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(err)
-    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_x0_list_follows_the_config_rule(capsys):
@@ -225,19 +246,7 @@ _CONFIG_0 = _CONFIG.replace("checkpoints = 10,20", "checkpoints = 0,10,20")
         "sample-x0-2-of-1", "experiment-x0-3-of-1", "sweep-x0-3-of-2",
         "plateau-window-above-checkpoints", "bound-p-negative", "bound-p-0", "bound-p-0-eps"])
 def test_out_of_range_input_is_invalid_input(argv, config, err, tmp_path, capsys):
-    if config is not None:
-        path = tmp_path / "exp.ini"
-        path.write_text(config)
-        argv = [*argv, "--config", str(path)]
-    if argv[0] == "bound":
-        report = tmp_path / "report.json"
-        assert run_cli(["check", "--entropy", "burg", "--target", "gamma:a=5,b=1",
-                        "--pairs", "5", "--out", str(report)]) == 0
-        capsys.readouterr()
-        argv = [*argv, "--report", str(report)]
-    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith(err)
-    assert not (tmp_path / "out").exists()
+    _assert_invalid_input(argv, config, err, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -397,6 +406,23 @@ def test_sample_oversized_record_fails_fast(tmp_path, capsys):
     ])
     assert code == 1
     assert "GiB" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 7.45 GiB for an array"),
+     "error: Unable to allocate 7.45 GiB for an array\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy-message", "bare"])
+def test_memory_error_is_invalid_input(monkeypatch, tmp_path, capsys, error, message):
+    def estimate_constants(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.analysis, "estimate_constants", estimate_constants)
+    out = tmp_path / "report.json"
+    assert run_cli(["check", "--entropy", "burg", "--target", "gamma:a=5,b=1",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 

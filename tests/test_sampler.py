@@ -77,7 +77,7 @@ def test_step_keeps_dual_cache_consistent():
     e, t = gamma_pair()
     ss = np.random.SeedSequence(3)
     rng = np.random.Generator(np.random.Philox(ss))
-    retry = smp._RetryStreams(smp._philox_keys(3, (), [0]), 1)
+    retry = smp._RetryStreams(smp._philox_keys(3, [0]), 1)
     x = np.array([[2.0]])
     y = e.grad(x)
     for _ in range(20):
@@ -179,21 +179,21 @@ def test_gate_window_values():
 def test_gate_rejects_large_step():
     e, t = gamma_pair()
     with pytest.raises(InadmissibleStepSize) as err:
-        smp.run_chain(e, t, smp.constant_schedule(0.38), [1.0], 5, seed=0)
+        smp.run_parallel_chains(e, t, smp.constant_schedule(0.38), [1.0], 5, 0, 1)
     assert err.value.window == pytest.approx(0.375)
 
 
 def test_gate_override():
     e, t = gamma_pair()
-    traj = smp.run_chain(
-        e, t, smp.constant_schedule(0.38), [1.0], 5, seed=0, override_gate=True
-    )
+    traj = smp.run_parallel_chains(
+        e, t, smp.constant_schedule(0.38), [1.0], 5, 0, 1, override_gate=True
+    )[0]
     assert traj.points.shape == (6, 1)
 
 
 def test_gate_skipped_for_harmonic():
     e, t = gamma_pair()
-    traj = smp.run_chain(e, t, smp.harmonic_schedule(0.3), [1.0], 5, seed=0)
+    traj = smp.run_parallel_chains(e, t, smp.harmonic_schedule(0.3), [1.0], 5, 0, 1)[0]
     assert len(traj.points) == 6
 
 
@@ -202,7 +202,7 @@ def test_largest_admissible_a():
     a = smp.largest_admissible_a(e, t)
     assert a < 0.375
     assert a == pytest.approx(0.375, rel=1e-12)
-    smp.run_chain(e, t, smp.constant_schedule(a), [1.0], 2, seed=0)
+    smp.run_parallel_chains(e, t, smp.constant_schedule(a), [1.0], 2, 0, 1)
 
 
 def _declared_target(paired, m, M=4.0):
@@ -220,7 +220,7 @@ def _declared_target(paired, m, M=4.0):
 ], ids=["burg-m1", "burg-m0.5", "boltzmann-shannon", "euclidean-m0", "euclidean-m0-M0"])
 def test_gate_window_zero_rejects_every_step(e, t):
     with pytest.raises(InadmissibleStepSize) as err:
-        smp.run_chain(e, t, smp.constant_schedule(1e-6), [0.5], 1, seed=0)
+        smp.run_parallel_chains(e, t, smp.constant_schedule(1e-6), [0.5], 1, 0, 1)
     assert (err.value.h, err.value.window) == (1e-6, 0.0)
     with pytest.raises(InadmissibleStepSize) as err:
         smp.largest_admissible_a(e, t)
@@ -251,18 +251,18 @@ def test_largest_admissible_a_needs_constants():
 
 def test_zero_steps_returns_initial_point():
     e, t = gamma_pair()
-    traj = smp.run_chain(e, t, smp.constant_schedule(0.05), [1.0], 0, seed=0)
+    traj = smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 0, 0, 1)[0]
     np.testing.assert_array_equal(traj.points, [[1.0]])
     np.testing.assert_array_equal(traj.steps, [0])
 
 
 def test_recording_burn_in_and_thinning():
     e, t = gamma_pair()
-    traj = smp.run_chain(
-        e, t, smp.constant_schedule(0.05), [1.0], 20, seed=1, record_every=5, burn_in=10
-    )
+    traj = smp.run_parallel_chains(
+        e, t, smp.constant_schedule(0.05), [1.0], 20, 1, 1, record_every=5, burn_in=10
+    )[0]
     np.testing.assert_array_equal(traj.steps, [10, 15, 20])
-    full = smp.run_chain(e, t, smp.constant_schedule(0.05), [1.0], 20, seed=1)
+    full = smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 20, 1, 1)[0]
     np.testing.assert_array_equal(traj.points, full.points[[10, 15, 20]])
 
 
@@ -291,17 +291,23 @@ def test_chains_share_one_record_buffer():
 
 def test_all_recorded_points_interior():
     e, t = gamma_pair()
-    traj = smp.run_chain(
-        e, t, smp.constant_schedule(0.3), [0.2], 400, seed=9, override_gate=True
-    )
+    traj = smp.run_parallel_chains(
+        e, t, smp.constant_schedule(0.3), [0.2], 400, 9, 1, override_gate=True
+    )[0]
     assert np.all(e.contains(traj.points))
 
 
 def test_run_chain_deterministic():
     e, t = gamma_pair()
-    a = smp.run_chain(e, t, smp.constant_schedule(0.05), [1.0], 100, seed=5)
-    b = smp.run_chain(e, t, smp.constant_schedule(0.05), [1.0], 100, seed=5)
+    a = smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 100, 5, 1)
+    b = smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 100, 5, 1)
     np.testing.assert_array_equal(a.points, b.points)
+
+
+def _chain_alone(e, t, sch, x0, n_steps, seed, c, override_gate=False):
+    """Chain c of ``run_parallel_chains`` at this seed, run as the only row."""
+    return smp._run_rows(e, t, sch, x0, n_steps, smp._philox_keys(seed, [c]),
+                         smp._philox_keys(seed, [c], (0,)), 1, 0, override_gate)[0]
 
 
 @pytest.mark.parametrize(
@@ -324,56 +330,39 @@ def test_parallel_matches_serial_per_derived_seed(monkeypatch, spec, p, h, n_cha
     t = tgt.gamma_target([5.0] * p, [1.0] * p)
     sch = smp.constant_schedule(h)
     trajs = smp.run_parallel_chains(e, t, sch, [1.0] * p, 60, base_seed=42, n_chains=n_chains)
-    children = np.random.SeedSequence(42).spawn(n_chains)
     for c, traj in enumerate(trajs):
-        solo = smp.run_chain(e, t, sch, [1.0] * p, 60, seed=children[c])
+        solo = _chain_alone(e, t, sch, [1.0] * p, 60, 42, c)
         np.testing.assert_array_equal(traj.points, solo.points)
         assert traj.rejections == solo.rejections
 
 
 @pytest.mark.parametrize("suffix", [(), (0,)], ids=["main", "retry"])
-@pytest.mark.parametrize("spawn_key", [(), (5,), (2**33, 1)], ids=["root", "child", "wide"])
-@pytest.mark.parametrize("entropy", [0, 2**32 + 1, 2**127 + 12345],
-                         ids=["zero", "two-words", "128-bit"])
-def test_philox_keys_equal_seed_sequence(entropy, spawn_key, suffix):
+@pytest.mark.parametrize("seed", [0, 2**32 + 1, 2**127 + 12345],
+                         ids=["zero-root", "two-words-root", "128-bit-root"])
+def test_philox_keys_equal_seed_sequence(seed, suffix):
     # The vectorised hash must track numpy's SeedSequence bit for bit; a
     # change there would otherwise shift every stream silently.
     children = np.arange(300)
     expected = np.array([
-        np.random.SeedSequence(entropy, spawn_key=spawn_key + (int(c),) + suffix)
-        .generate_state(2, np.uint64)
+        np.random.SeedSequence(seed, spawn_key=(int(c),) + suffix).generate_state(2, np.uint64)
         for c in children
     ])
-    np.testing.assert_array_equal(smp._philox_keys(entropy, spawn_key, children, suffix),
-                                  expected)
+    np.testing.assert_array_equal(smp._philox_keys(seed, children, suffix), expected)
 
 
-def test_philox_keys_cover_wide_children_and_pool_sizes():
-    children = np.array([0, 7, 2**32 - 1, 2**32, 2**40 + 3, 9], dtype=np.uint64)
-    for pool_size in (4, 6):
-        expected = np.array([
-            np.random.SeedSequence([3, 2**40], spawn_key=(1, int(c), 0), pool_size=pool_size)
-            .generate_state(2, np.uint64)
-            for c in children
-        ])
-        np.testing.assert_array_equal(
-            smp._philox_keys([3, 2**40], (1,), children, (0,), pool_size), expected)
+@pytest.mark.parametrize("seed, n_chains", [
+    (None, 1), (1.5, 1), (-1, 1), (np.random.SeedSequence(0), 1), ([0, 1], 1), (0, 2**32),
+], ids=["none", "float", "negative", "seed-sequence", "list", "2**32-chains"])
+def test_seed_must_be_an_integer_and_chains_fit_one_word(monkeypatch, seed, n_chains):
+    # Refused before any key or noise array exists, so 2**32 chains allocate nothing.
+    def allocate(*args):
+        raise AssertionError("allocated before the refusal")
 
-
-def test_parallel_chains_from_spawned_seed_sequence_continue_its_children():
-    e, t = ent.burg(2), tgt.gamma_target([5.0, 5.0], [1.0, 1.0])
-    sch = smp.constant_schedule(0.2)
-    base = np.random.SeedSequence(8, spawn_key=(2,))
-    base.spawn(3)
-    trace = smp.run_parallel_chains(e, t, sch, [1.0, 1.0], 40, base_seed=base, n_chains=5)
-    assert base.n_children_spawned == 8
-    twin = np.random.SeedSequence(8, spawn_key=(2,))
-    children = twin.spawn(8)[3:]
-    assert trace.rejections.sum() > 0
-    for c, child in enumerate(children):
-        solo = smp.run_chain(e, t, sch, [1.0, 1.0], 40, seed=child)
-        np.testing.assert_array_equal(trace.points[c], solo.points)
-        assert trace.rejections[c] == solo.rejections
+    monkeypatch.setattr(smp, "_philox_keys", allocate)
+    monkeypatch.setattr(smp, "_run_rows", allocate)
+    e, t = gamma_pair()
+    with pytest.raises(InvalidParameters):
+        smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 5, seed, n_chains)
 
 
 def test_noise_byte_budget_does_not_change_trajectories(monkeypatch):
@@ -418,15 +407,6 @@ def test_retry_buffer_length_does_not_change_trajectories(monkeypatch, chunk):
     buffered = _burg_p8_halvings(monkeypatch)
     np.testing.assert_array_equal(buffered.points, default.points)
     np.testing.assert_array_equal(buffered.rejections, default.rejections)
-
-
-def test_single_chain_parallel_degenerates_to_run_chain():
-    e, t = gamma_pair()
-    sch = smp.constant_schedule(0.05)
-    child = np.random.SeedSequence(11).spawn(1)[0]
-    par = smp.run_parallel_chains(e, t, sch, [1.0], 40, base_seed=11, n_chains=1)[0]
-    solo = smp.run_chain(e, t, sch, [1.0], 40, seed=child)
-    np.testing.assert_array_equal(par.points, solo.points)
 
 
 def test_distinct_chains_get_distinct_noise():
@@ -499,7 +479,7 @@ def test_exhausted_retries_raise_numerical_breakdown(monkeypatch):
 def test_x0_must_be_interior():
     e, t = gamma_pair()
     with pytest.raises(InvalidParameters):
-        smp.run_chain(e, t, smp.constant_schedule(0.05), [-1.0], 5, seed=0)
+        smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [-1.0], 5, 0, 1)
 
 
 def test_x0_of_one_coordinate_or_one_point_is_broadcast():
@@ -551,10 +531,9 @@ def test_scaling_invariance_of_trajectories(alpha):
     e, t = gamma_pair()
     sch = smp.constant_schedule(0.05)
     sch_a = smp.constant_schedule(alpha * 0.05)
-    base = smp.run_chain(e, t, sch, [1.0], 200, seed=21)
-    scaled = smp.run_chain(
-        e.scaled(alpha), t, sch_a, [1.0], 200, seed=21, override_gate=True
-    )
+    base = smp.run_parallel_chains(e, t, sch, [1.0], 200, 21, 1)
+    scaled = smp.run_parallel_chains(e.scaled(alpha), t, sch_a, [1.0], 200, 21, 1,
+                                     override_gate=True)
     rel = np.abs(scaled.points - base.points) / (1.0 + np.abs(base.points))
     assert float(rel.max()) <= 1e-12
 
@@ -602,11 +581,10 @@ def test_reference_chain_replicas_own_their_streams():
 
     x0 = t.sample_exact(np.random.default_rng(seed), n)
     np.testing.assert_array_equal(y0, e.grad(x0))
-    children = np.random.SeedSequence(seed).spawn(n)
     rejections = 0
     for c in range(n):
-        solo = smp.run_chain(e, t, smp.constant_schedule(s / substeps), x0[c], substeps,
-                             seed=children[c], override_gate=True)
+        solo = _chain_alone(e, t, smp.constant_schedule(s / substeps), x0[c], substeps,
+                            seed, c, override_gate=True)
         np.testing.assert_array_equal(ys[c], e.grad(solo.points[-1]))
         rejections += solo.rejections
     assert rejections > 0
@@ -626,11 +604,10 @@ def test_reference_chain_increment_bound_euclidean():
 
 def test_step_consumes_exactly_dim_draws():
     e, t = gauss_pair(diag=[1.0, 2.0])
-    traj = smp.run_chain(e, t, smp.constant_schedule(0.1), [0.4, -0.2], 2,
-                         seed=np.random.SeedSequence(99))
+    traj = smp.run_parallel_chains(e, t, smp.constant_schedule(0.1), [0.4, -0.2], 2, 99, 1)[0]
     # replay: an identical stream must yield the p draws of each step, so
     # the second point only matches if the first step took exactly p
-    twin = np.random.Generator(np.random.Philox(np.random.SeedSequence(99)))
+    twin = np.random.Generator(np.random.Philox(np.random.SeedSequence(99).spawn(1)[0]))
     A = np.diag([1.0, 2.0])
     x = np.array([[0.4, -0.2]])
     for k in (1, 2):
@@ -644,6 +621,6 @@ def test_gate_only_applies_to_the_paired_entropy():
     # cannot be gated by them and must proceed.
     mix = ent.mixed([0.3])
     t = tgt.gamma_target([5.0], [1.0])
-    traj = smp.run_chain(mix, t, smp.constant_schedule(0.5), [1.0], 30, seed=2)
+    traj = smp.run_parallel_chains(mix, t, smp.constant_schedule(0.5), [1.0], 30, 2, 1)[0]
     assert np.all(mix.contains(traj.points))
     assert np.all(np.isfinite(traj.points))
