@@ -36,6 +36,7 @@ from .errors import (
     InadmissibleRegime,
     InvalidParameters,
     StepOutOfWindow,
+    check_allocation,
     check_seed,
 )
 from .target import r_constant
@@ -249,6 +250,10 @@ def _sampled_pairs(entropy, target, n_pairs, seed):
     _check_dims(entropy, target)
     if n_pairs < 1:
         raise InvalidParameters(f"need at least one pair, got {n_pairs}")
+    p = entropy.dim
+    # x1 and x2 in float64, dg and df in long double.
+    check_allocation(2 * n_pairs * p * (8 + np.dtype(_LD).itemsize),
+                     f"drawing {n_pairs} pair(s) x {p} coordinate(s)", "use fewer pairs")
     rng = np.random.default_rng(check_seed(seed))
     x1 = entropy.sample_interior(rng, n_pairs)
     x2 = entropy.sample_interior(rng, n_pairs)

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import os
 
 
 class HrlmcError(Exception):
@@ -137,3 +138,20 @@ def check_seed(seed):
         for item in seed:
             check_seed(item)
     return seed
+
+
+def check_allocation(n_bytes, what, remedy):
+    """Refuse an allocation of ``n_bytes`` that alone exceeds physical memory.
+
+    Called before numpy tries it, which would fail late or swap; the
+    InvalidParameters message says ``what`` needs the memory and the ``remedy``.
+    """
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):  # no sysconf on this platform
+        return
+    if n_bytes > physical:
+        raise InvalidParameters(
+            f"{what} needs {n_bytes / 2**30:.1f} GiB, more than the "
+            f"{physical / 2**30:.1f} GiB of physical memory; {remedy}"
+        )

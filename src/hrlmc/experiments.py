@@ -148,10 +148,11 @@ def _map_distance_tasks(task, n_tasks, method):
 
     Only assignment solves cost enough to pay for the workers; exact-1d and
     sliced tasks run in this process.  Workers are forked so they inherit
-    ``task`` (its clouds and targets do not pickle) and the imported numpy
-    and scipy; only task indices and results cross the process boundary.  An
-    exception raised in a worker is re-raised here with its own type, and a
-    worker that dies raises ``BrokenProcessPool`` instead of hanging.
+    ``task`` (its clouds and targets do not pickle) and the solver modules
+    that ``metrics.resolve_method`` imports; only task indices and results
+    cross the process boundary.  An exception raised in a worker is re-raised
+    here with its own type, and a worker that dies raises
+    ``BrokenProcessPool`` instead of hanging.
     """
     workers = min(_usable_cpus(), n_tasks)
     if (method != "assignment" or workers < 2

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import MethodUnavailable, SizeMismatch, Unavailable, check_seed
 
@@ -97,6 +95,11 @@ def resolve_method(method: str, n_a: int, n_b: int, dim: int) -> str:
         raise MethodUnavailable(
             f"assignment is limited to {ASSIGNMENT_MAX_POINTS} points; use sliced"
         )
+    if method == "assignment":
+        # Loaded here, before any chain runs, so forked distance workers
+        # inherit the solver and a broken scipy fails first.
+        import scipy.optimize  # noqa: F401
+        import scipy.spatial.distance  # noqa: F401
     return method
 
 
@@ -108,6 +111,10 @@ def _w2_exact_1d(a, b):
 
 
 def _w2_assignment(a, b):
+    # Local: scipy is ~0.6 s of import set-up that only the assignment estimator needs.
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     cost = cdist(a, b, metric="sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     total = float(cost[rows, cols].sum())

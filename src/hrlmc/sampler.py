@@ -46,7 +46,6 @@ proposal on the dual domain.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +56,7 @@ from .errors import (
     InvalidParameters,
     NumericalBreakdown,
     Unavailable,
+    check_allocation,
     parse_spec,
 )
 from .target import exact_sample
@@ -164,16 +164,21 @@ def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
     gives each chain its own start, and None starts every chain at
     ``entropy.interior_point()``.
     """
-    if not isinstance(base_seed, (int, np.integer)) or base_seed < 0:
-        raise InvalidParameters(f"a seed must be a non-negative integer, got {base_seed!r}")
-    # A child index is one uint32 word of the spawn key.
-    if not 1 <= n_chains <= _MASK32:
-        raise InvalidParameters(f"need 1 to 2**32 - 1 chains, got {n_chains}")
+    _check_chain_seed(base_seed, n_chains)
     children = np.arange(n_chains, dtype=np.uint32)
     # Chain c's retry stream is the first child of its SeedSequence.
     return _run_rows(entropy, target, schedule, x0, n_steps,
                      _philox_keys(base_seed, children), _philox_keys(base_seed, children, (0,)),
                      record_every, burn_in, override_gate)
+
+
+def _check_chain_seed(base_seed, n_chains):
+    """Refuse a seed that is not a non-negative integer, or an unkeyable chain count."""
+    if not isinstance(base_seed, (int, np.integer)) or base_seed < 0:
+        raise InvalidParameters(f"a seed must be a non-negative integer, got {base_seed!r}")
+    # A child index is one uint32 word of the spawn key.
+    if not 1 <= n_chains <= _MASK32:
+        raise InvalidParameters(f"need 1 to 2**32 - 1 chains, got {n_chains}")
 
 
 def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_every,
@@ -191,7 +196,9 @@ def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_e
     n_chains = len(keys)
     p = entropy.dim
     record_ks = range(burn_in, n_steps + 1, record_every)
-    _check_record_memory(n_chains, len(record_ks), p)
+    check_allocation(8 * n_chains * len(record_ks) * p,
+                     f"recording {n_chains} chain(s) x {len(record_ks)} point(s) x {p} "
+                     "coordinate(s)", "record fewer points (thin, burn-in) or run fewer chains")
     x0 = np.asarray(entropy.interior_point() if x0 is None else x0, dtype=float)
     if x0.shape not in ((1,), (p,), (n_chains, p)):
         raise InvalidParameters(
@@ -234,7 +241,7 @@ def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_e
                 rec_h[rec_pos] = h
                 rec_pos += 1
 
-    # The points take the 8 * n_chains * n_records * p bytes _check_record_memory counts.
+    # The points take the 8 * n_chains * n_records * p bytes check_allocation counts.
     steps = np.arange(burn_in, n_steps + 1, record_every, dtype=np.int64)
     steps.flags.writeable = False
     rec_h.flags.writeable = False
@@ -251,7 +258,7 @@ def largest_admissible_a(entropy, target) -> float:
     return float(np.nextafter(window, 0.0))
 
 
-def reference_chain(entropy, target, s: float, substeps: int, seed,
+def reference_chain(entropy, target, s: float, substeps: int, seed: int,
                     n_replicas: int = 1):
     """Stationary-start increments of the fine-step surrogate flow.
 
@@ -259,8 +266,11 @@ def reference_chain(entropy, target, s: float, substeps: int, seed,
     s / substeps; returns (grad_phi(L0), grad_phi(L_s)) for the increment
     test.  Replica c is chain c of ``run_parallel_chains`` at this seed, so
     it owns its noise and retry streams; the exact start is
-    ``exact_sample(target, n_replicas, seed)``.
+    ``exact_sample(target, n_replicas, seed)``.  The seed and replica count
+    are checked as ``run_parallel_chains`` checks them, at every s and
+    before anything is drawn.
     """
+    _check_chain_seed(seed, n_replicas)
     if not target.has_exact_sampler:
         raise Unavailable(f"{target.name}: reference chain needs an exact sampler")
     if substeps < 100:
@@ -337,21 +347,6 @@ def _seed_state_keys(words) -> np.ndarray:
     # Little-endian pairs of uint32 words make the two uint64 key words.
     return np.stack([state[0] | (state[1] << np.uint64(32)),
                      state[2] | (state[3] << np.uint64(32))], axis=-1)
-
-
-def _check_record_memory(n_chains, n_records, p):
-    """Refuse a run whose recorded points alone exceed physical memory."""
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):  # no sysconf on this platform
-        return
-    need = 8 * n_chains * n_records * p
-    if need > physical:
-        raise InvalidParameters(
-            f"recording {n_chains} chain(s) x {n_records} point(s) x {p} coordinate(s) "
-            f"needs {need / 2**30:.1f} GiB, more than the {physical / 2**30:.1f} GiB of "
-            "physical memory; record fewer points (thin, burn-in) or run fewer chains"
-        )
 
 
 def _propose(Y, gf, sq, h, xi):

@@ -32,7 +32,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import entropy as _entropy
 from .errors import (Divergent, DomainViolation, InvalidParameters, Unavailable, check_seed,
@@ -386,6 +385,9 @@ def r_constant(target: Target, method: str = "declared", n: int = 100_000,
 
 
 def _r_quadrature(target, entropy):
+    # Local: scipy is ~0.6 s of import set-up that only R quadrature needs.
+    from scipy import integrate
+
     if target.support is None or target.log_partition is None:
         raise Unavailable(f"{target.name}: no normalized density for quadrature")
     if target.dim > 2:

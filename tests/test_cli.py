@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -406,6 +407,20 @@ def test_sample_oversized_record_fails_fast(tmp_path, capsys):
     ])
     assert code == 1
     assert "GiB" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_oversized_pairs_fail_fast(tmp_path, capsys):
+    # Refused by the allocation guard before any draw; numpy's own refusal of
+    # a 2**50-pair array would read "Unable to allocate", not this remedy.
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = run_cli(["check", "--entropy", "burg", "--target", "gamma:a=5,b=1",
+                    "--pairs", str(2**50), "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: drawing") and "GiB" in err and "use fewer pairs" in err
     assert not out.exists()
 
 

@@ -350,9 +350,12 @@ def test_philox_keys_equal_seed_sequence(seed, suffix):
     np.testing.assert_array_equal(smp._philox_keys(seed, children, suffix), expected)
 
 
-@pytest.mark.parametrize("seed, n_chains", [
+_BAD_CHAIN_SEEDS = pytest.mark.parametrize("seed, n_chains", [
     (None, 1), (1.5, 1), (-1, 1), (np.random.SeedSequence(0), 1), ([0, 1], 1), (0, 2**32),
 ], ids=["none", "float", "negative", "seed-sequence", "list", "2**32-chains"])
+
+
+@_BAD_CHAIN_SEEDS
 def test_seed_must_be_an_integer_and_chains_fit_one_word(monkeypatch, seed, n_chains):
     # Refused before any key or noise array exists, so 2**32 chains allocate nothing.
     def allocate(*args):
@@ -568,6 +571,21 @@ def test_reference_chain_needs_sampler_and_substeps():
     )
     with pytest.raises(Unavailable):
         smp.reference_chain(e, bare, s=0.01, substeps=100, seed=0)
+
+
+@_BAD_CHAIN_SEEDS
+@pytest.mark.parametrize("s", [0.0, 0.01])
+def test_reference_chain_refuses_seeds_at_every_span_before_drawing(monkeypatch, s, seed,
+                                                                     n_chains):
+    # s = 0 returns the exact start without running a chain; it refuses the
+    # same seeds as s > 0, and neither draws that start first.
+    def draw(*args):
+        raise AssertionError("drew the exact start before the refusal")
+
+    monkeypatch.setattr(smp, "exact_sample", draw)
+    e, t = gamma_pair()
+    with pytest.raises(InvalidParameters):
+        smp.reference_chain(e, t, s, substeps=100, seed=seed, n_replicas=n_chains)
 
 
 def test_reference_chain_replicas_own_their_streams():
