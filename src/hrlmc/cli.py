@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import io
 import json
 import os
@@ -40,7 +41,7 @@ from .target import parse_target
 
 _GATE_ERRORS = (InadmissibleStepSize, InadmissibleRegime, StepOutOfWindow, EpsOutOfRange)
 _BREAKDOWN_ERRORS = (NumericalBreakdown, Divergent)
-_CSV_ROWS = 65536  # trace rows formatted and written per block
+_CSV_ROWS = 4096  # trace rows formatted and written per block
 
 
 def _is_stdout(path) -> bool:
@@ -94,28 +95,156 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+# "%.17g" of float64 values in numpy integer arithmetic.  %g prints a finite
+# v != 0 whose decimal exponent X (that of v rounded to 17 significant digits)
+# lies in [-4, 16] in fixed notation, from the digits D = round(|v| * 10**(16 - X)):
+# the point follows digit X, or "0." and -X - 1 zeros come before the digits
+# for X < 0, and trailing zeros after the point are dropped, then a trailing
+# point.  The fast path takes X in [-4, 15].  With |v| = M * 2**(e - 53) from
+# frexp and s = 16 - X in [1, 20], D rounds M * 5**s * 2**(s + e - 53) half
+# to even, as CPython's correctly rounded conversion does; M < 2**53 and
+# 5**s < 2**47, so the product fits two uint64 words.  Every other value
+# (0, -0, subnormals, |v| < 1e-4, the top decades, inf and nan) is formatted
+# by "%.17g" itself.
+#
+# A value's cell is 40 NUL-padded bytes, five little-endian uint64 words:
+# byte 0 holds the sign and bytes 1-5 the "0.000" of X < 0; digit j sits in
+# byte 6 + 2j and the point, if it follows digit j, in byte 7 + 2j.  Word 0
+# holds digit 0, word w = 1..4 digits 4w - 3 to 4w; byte 39, after digit 16,
+# is left NUL for the caller's separator.
+_CELL = 40
+_POW5 = np.uint64(5) ** np.arange(21, dtype=np.uint64)
+_POW5_HI, _POW5_LO = _POW5 >> 32, _POW5 & 0xFFFFFFFF
+
+
+@functools.cache  # built on first use, so processes that write no trace skip it
+def _cell_tables():
+    """``groups``: word w = 1..4 of each 4-digit group; ``masks``: words by (last, X, sign).
+
+    ``groups[w - 1, g]`` spreads the digits of g over the even bytes and keeps
+    in byte 7 (a point slot) the cell index 4w - 4 + i of its last nonzero
+    digit i, or 0 for g = 0.  Column ``(last * 20 + X + 4) * 2 + negative`` of
+    ``masks`` holds word 0 without digit 0, then the masks of words 1-4 that
+    keep digits 0..last, then the point byte of words 1-4.
+    """
+    g = np.arange(10_000, dtype=np.int16)
+    digits = (g[:, None] // np.array([1000, 100, 10, 1], dtype=np.int16) % 10).astype(np.uint8)
+    groups = np.zeros((4, 10_000, 8), dtype=np.uint8)
+    groups[:, :, ::2] = digits + ord("0")
+    last_in_group = (4 - np.argmax(digits[:, ::-1] != 0, axis=1)).astype(np.uint8)
+    groups[:, :, 7] = (last_in_group + np.arange(0, 16, 4, dtype=np.uint8)[:, None]) * (g > 0)
+
+    last, x, negative = np.ix_(np.arange(17), np.arange(-4, 16), np.arange(2))
+    shape = (17, 20, 2, _CELL)
+    marks = np.zeros(shape, dtype=np.uint8)  # sign, "0.000" and point
+    marks[..., 0] = np.where(negative, ord("-"), 0)
+    for i, char in enumerate(b"0.000"):
+        marks[..., 1 + i] = np.where(x <= -max(i, 1), char, 0)
+    for j in range(16):  # the point follows digit X = j if a digit after it is kept
+        marks[j + 1:, j + 4, :, 7 + 2 * j] = ord(".")
+    keep = np.zeros(shape, dtype=np.uint8)
+    keep[..., 6::2] = np.where(np.arange(17) <= last[..., None], 0xFF, 0)
+    words = np.concatenate([marks[..., :8], keep[..., 8:], marks[..., 8:]], axis=-1)
+    return groups.view(np.uint64)[..., 0], words.view(np.uint64).reshape(680, 9).T.copy()
+
+
+def _digits17(m, e, x):
+    """round-half-even(m * 2**(e - 53) * 10**(16 - x)), exactly, for uint64 m < 2**53."""
+    s = 16 - x
+    ph, pl = _POW5_HI[s], _POW5_LO[s]
+    # The product m * 5**s = hi * 2**64 + lo from 32-bit halves.
+    mh, ml = m >> 32, m & 0xFFFFFFFF
+    ll = ml * pl
+    mid = ml * ph + mh * pl + (ll >> 32)
+    lo = (mid << 32) | (ll & 0xFFFFFFFF)
+    hi = mh * ph + (mid >> 32)
+    t = s + e - 53
+    # t >= 0 only where the product is below 2**60, so hi is 0 there.
+    up = np.maximum(t, 0).astype(np.uint64)
+    k = np.maximum(-t, 1).astype(np.uint64)
+    q = (hi << (64 - k)) | (lo >> k)
+    rest = lo & ((np.uint64(1) << k) - 1)
+    half = np.uint64(1) << (k - 1)
+    q += (rest > half) | ((rest == half) & ((q & 1) == 1))
+    return np.where(t >= 0, lo << up, q)
+
+
+def _format_17g(values):
+    """The ``"%.17g" % v`` cell of each float64 v, as (5, n) uint64 word planes."""
+    groups, masks = _cell_tables()
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e16)  # not nan, inf, 0 or subnormal
+    a[~fast] = 1.0
+    x = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int64)
+    mantissa, e = np.frexp(a)
+    m = (mantissa * 2.0**53).astype(np.uint64)
+    d = _digits17(m, e, x)
+    # Next to a power of ten floor(log10) can be one off, and rounding to 17
+    # digits can reach the next power: redo those a decade over.
+    redo = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    x[redo] += np.where(d[redo] < 10**16, -1, 1)
+    redo = redo[(x[redo] >= -4) & (x[redo] <= 15)]
+    d[redo] = _digits17(m[redo], e[redo], x[redo])
+    slow = np.flatnonzero(~fast | (d < 10**16) | (d >= 10**17))
+    d[slow] = 10**16
+    x[slow] = 0
+
+    # D = lead * 10**16 + four 4-digit groups.
+    high, low = np.divmod(d.view(np.int64), 10**8)
+    lead, high = np.divmod(high, 10**8)
+    words = np.empty((5, len(d)), dtype=np.uint64)
+    for w, g in enumerate((*np.divmod(high, 10**4), *np.divmod(low, 10**4)), start=1):
+        np.take(groups[w - 1], g, out=words[w])
+    # %g keeps the digits up to the last nonzero one and at least up to X.
+    last = np.maximum(np.maximum.reduce(words[1:] >> 56).view(np.int64), x)
+    key = (last * 20 + x + 4) * 2 + np.signbit(values)
+    words[1:] &= masks[1:5, key]
+    words[1:] |= masks[5:, key]
+    words[0] = masks[0, key] | (lead.view(np.uint64) + ord("0")) << 48
+    text = ["%.17g" % v for v in values[slow].tolist()]
+    words[:, slow] = np.array(text, dtype=f"S{_CELL}").view(np.uint64).reshape(-1, 5).T
+    return words
+
+
 def _write_trace_csv(fh, trace):
     """Write the ``chain,step,h,x_1..x_p`` trace, ``_CSV_ROWS`` rows per write.
 
-    Every chain of one run shares its recorded steps and step sizes, so each
-    row is a template ``step,h,%.17g,...`` built once for all chains, and a
-    chain's block of rows is one ``%`` over its coordinates.  ``"%.17g" %`` is
-    the same conversion as ``format(v, ".17g")``, so the bytes match ``_fmt``,
-    including ``inf``, ``nan`` and ``-0``.
+    The rows run chain after chain, so a block may end one chain and start the
+    next.  A block is one NUL-padded uint64 matrix with a row per trace row:
+    the ``chain,`` and ``step,h,`` prefix (every chain shares its recorded
+    steps and step sizes) in the first words, then the ``_format_17g`` cell of
+    each coordinate with its separator in its last byte.  Dropping the NULs
+    leaves the text, whose floats are ``format(v, ".17g")`` of every value as
+    ``_fmt`` writes them, including ``inf``, ``nan`` and ``-0``.
     """
-    p = trace.points.shape[2]
+    n_chains, n_records, p = trace.points.shape
     fh.write("chain,step,h," + ",".join(f"x_{j + 1}" for j in range(p)) + "\n")
-    coords = ",".join(["%.17g"] * p) + "\n"
-    # k is an int and _fmt(h) the digits of a float, so the only "%" in a
-    # template are its p conversions.
-    rows = [f"{k},{_fmt(h)},{coords}"
-            for k, h in zip(trace.steps.tolist(), trace.step_sizes.tolist())]
-    starts = range(0, len(rows), _CSV_ROWS)
-    blocks = [["", *rows[start:start + _CSV_ROWS]] for start in starts]
-    for c, points in enumerate(trace.points):
-        for start, block in zip(starts, blocks):
-            values = points[start:start + _CSV_ROWS].ravel().tolist()
-            fh.write(f"{c},".join(block) % tuple(values))
+    steps = [f"{k},{_fmt(h)}," for k, h in zip(trace.steps.tolist(), trace.step_sizes.tolist())]
+    chains = [f"{c}," for c in range(n_chains)]
+    wc = len(chains[-1])
+    n_prefix = -(-(wc + max(map(len, steps), default=0)) // 8)  # uint64 words per row
+    # The chain text in bytes [0, wc) and the step text after it, so a row's
+    # prefix is the OR of the two.
+    text = np.array(chains + ["\0" * wc + s for s in steps], dtype=f"S{8 * n_prefix}")
+    chain_words, step_words = np.split(text.view(np.uint64).reshape(-1, n_prefix), [n_chains])
+    separators = np.full(p, ord(","), dtype=np.uint64)
+    separators[-1] = ord("\n")
+    separators <<= 56  # byte 39 of a cell
+    points = trace.points.reshape(-1, p)
+    matrix = np.empty((min(_CSV_ROWS, len(points)), n_prefix + 5 * p), dtype=np.uint64)
+    for start in range(0, len(points), _CSV_ROWS):
+        block = matrix[:len(points) - start]
+        stop = start + len(block)
+        for c in range(start // n_records, (stop - 1) // n_records + 1):
+            r0, r1 = max(start, c * n_records), min(stop, (c + 1) * n_records)
+            np.bitwise_or(step_words[r0 - c * n_records:r1 - c * n_records], chain_words[c],
+                          out=block[r0 - start:r1 - start, :n_prefix])
+        words = _format_17g(points[start:stop].ravel()).reshape(5, len(block), p)
+        words[4] |= separators
+        cells = block[:, n_prefix:].reshape(len(block), p, 5)
+        for w in range(5):
+            cells[:, :, w] = words[w]
+        fh.write(block.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _cmd_sample(args) -> int:
@@ -124,7 +253,8 @@ def _cmd_sample(args) -> int:
     A path under a missing directory is refused before the run; the output is
     opened only after the run succeeds, so a gate failure or a numerical
     breakdown leaves no file.  Memory is bounded by the recorded
-    points (8 * chains * records * p bytes), not by the CSV text.
+    points (8 * chains * records * p bytes) plus one ``_CSV_ROWS``-row block,
+    not by the CSV text.
     """
     _check_output(args.out)
     target = parse_target(args.target)

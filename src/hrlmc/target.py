@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entropy as _entropy
-from .errors import (Divergent, DomainViolation, InvalidParameters, Unavailable, check_seed,
-                     format_number, parse_spec)
+from .errors import (Divergent, DomainViolation, InvalidParameters, Unavailable, check_allocation,
+                     check_seed, format_number, parse_spec)
 
 
 class Target:
@@ -318,7 +318,13 @@ def register_table2_targets() -> list[Target]:
 
 
 def exact_sample(target: Target, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws from the target law, deterministic given the seed."""
+    """n i.i.d. draws from the target law, deterministic given the seed.
+
+    A draw that alone needs more than physical memory is refused before
+    anything is drawn.
+    """
+    check_allocation(8 * n * target.dim, f"drawing {n} exact point(s) x {target.dim} "
+                     "coordinate(s)", "draw fewer points (replicas, reference points)")
     rng = np.random.default_rng(check_seed(seed))
     return target.sample_exact(rng, n)
 

@@ -135,6 +135,58 @@ def test_percent_g_matches_format():
     assert [v for v in values if "%.17g" % v != format(v, ".17g")] == []
 
 
+def _fast_path_edges():
+    """Values at the edges of _format_17g's integer path, with their negatives."""
+    rng = np.random.default_rng(1)
+    decades = 10.0 ** np.arange(-6, 18)
+    values = [decades, np.nextafter(decades, 0), np.nextafter(decades, np.inf)]
+    # Odd multiples of 2**(X - 17) lie halfway between two 17-digit decimals
+    # of exponent X; below 2**53 / 2**(17 - X) they are exact doubles.
+    for X in (14, 15):
+        scale = 2 ** (17 - X)
+        values.append((rng.integers(10**X * scale, min(10 ** (X + 1) * scale, 2**53), 2_000)
+                       | 1) / float(scale))
+    values += [np.arange(-3_000, 3_000) / 1024, np.arange(-3_000, 3_000) / 10]
+    values = np.concatenate(values)
+    return np.concatenate([values, -values])
+
+
+def _cell_text(words):
+    """The text of each _format_17g cell: its bytes without the NULs."""
+    cells = np.ascontiguousarray(words.T).view(np.uint8)
+    return [cell.tobytes().replace(b"\0", b"").decode() for cell in cells]
+
+
+def test_format_17g_matches_percent_g():
+    # test_percent_g_matches_format's values, the fast-path edges, and every
+    # value the fast path leaves to "%.17g": zeros, subnormals, inf and nan.
+    rng = np.random.default_rng(0)
+    values = [struct.unpack("<d", rng.bytes(8))[0] for _ in range(20_000)]
+    values += list(rng.standard_normal(2_000) * 10.0 ** rng.integers(-300, 300, 2_000))
+    values += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+               1e-308, -1e-308, float("inf"), float("-inf"), float("nan")]
+    values = np.concatenate([values, _fast_path_edges(), [np.nextafter(1e-4, 0), 2.0**51, 2.0**53]])
+    text = _cell_text(cli._format_17g(values))
+    assert [(v, t) for v, t in zip(values.tolist(), text) if t != "%.17g" % v] == []
+
+
+@pytest.mark.parametrize("rows", [1, 4, 9, 23, 1000])
+def test_sample_csv_writer_across_chain_boundaries(rows, monkeypatch):
+    # Blocks of 1 to 23 rows start and end inside 9-record chains and span
+    # several of them; 1000 holds the whole trace.  Negative, tiny (< 1e-4)
+    # and huge values sit next to a sample of the fast-path edges.
+    monkeypatch.setattr(cli, "_CSV_ROWS", rows)
+    values = np.concatenate([[-1e-5, 3e-9, -2.5e-300, 1e200, -7e16, -0.0],
+                             _fast_path_edges()[::102]])
+    points = np.resize(values, (6, 9, 6))
+    steps = np.arange(9) * 3 + 2
+    step_sizes = np.array([0.0, 0.1, 0.05, 0.05, 0.025, 1e-5, 0.05, 0.1, 2.0])
+    trace = Trace(points, steps, step_sizes, np.zeros(6, dtype=np.int64))
+    fh = io.StringIO()
+    cli._write_trace_csv(fh, trace)
+    assert fh.getvalue() == _per_value_csv(trace, 6)
+
+
 def test_sample_csv_digest_is_pinned(capsys):
     # sha256 of this run's CSV as written by the per-value loop.
     args = ["sample", *_WRITER_CASES["burg-burn-thin"], "--seed", "11", "--out", "-"]

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 import warnings
 
 import numpy as np
@@ -586,6 +587,21 @@ def test_reference_chain_refuses_seeds_at_every_span_before_drawing(monkeypatch,
     e, t = gamma_pair()
     with pytest.raises(InvalidParameters):
         smp.reference_chain(e, t, s, substeps=100, seed=seed, n_replicas=n_chains)
+
+
+def test_reference_chain_oversized_replicas_fail_fast():
+    # The exact start of 2**32 - 1 replicas in 64 coordinates (2 TiB) is
+    # refused by exact_sample's allocation guard before anything is drawn.
+    t = tgt.gamma_target([5.0] * 64, [1.0] * 64)
+
+    def draw(rng, n):
+        raise AssertionError("drew before the refusal")
+
+    t._sampler = draw
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameters, match="GiB"):
+        smp.reference_chain(ent.burg(64), t, 0.01, substeps=100, seed=0, n_replicas=2**32 - 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_reference_chain_replicas_own_their_streams():

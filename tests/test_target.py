@@ -1,6 +1,7 @@
 """Target registry tests: declared constants, oracles, sampled certificates."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -174,6 +175,21 @@ def test_exact_sample_beta_symmetric_mean():
     sd = math.sqrt(float(beta.moment_var[0]))
     assert abs(draws.mean() - 0.5) <= 5.0 * sd / math.sqrt(n)
     assert np.all((draws > 0.0) & (draws < 1.0))
+
+
+def test_exact_sample_oversized_draw_fails_fast():
+    # Refused by the allocation guard before the sampler runs; 2**40 points x
+    # 3 coordinates is 24 TiB, so nothing of that size is ever allocated.
+    gamma = tgt.gamma_target([5.0] * 3, [1.0] * 3)
+
+    def draw(rng, n):
+        raise AssertionError("drew before the refusal")
+
+    gamma._sampler = draw
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameters, match="GiB.*draw fewer points"):
+        tgt.exact_sample(gamma, 2**40, seed=0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exact_sample_deterministic():
