@@ -41,7 +41,9 @@ from .target import parse_target
 
 _GATE_ERRORS = (InadmissibleStepSize, InadmissibleRegime, StepOutOfWindow, EpsOutOfRange)
 _BREAKDOWN_ERRORS = (NumericalBreakdown, Divergent)
-_CSV_ROWS = 4096  # trace rows formatted and written per block
+# Rows per block of a one-coordinate trace; a p-coordinate block holds
+# max(1, _CSV_ROWS // p) rows, so every block formats about _CSV_ROWS values.
+_CSV_ROWS = 4096
 
 
 def _is_stdout(path) -> bool:
@@ -105,14 +107,18 @@ def _json_text(obj) -> str:
 # to even, as CPython's correctly rounded conversion does; M < 2**53 and
 # 5**s < 2**47, so the product fits two uint64 words.  Every other value
 # (0, -0, subnormals, |v| < 1e-4, the top decades, inf and nan) is formatted
-# by "%.17g" itself.
+# by "%.17g" itself, and so is a value whose D falls outside [10**16, 10**17):
+# next to a power of ten floor(log10) can be one off, and rounding to 17
+# digits can reach the next power.
 #
-# A value's cell is 40 NUL-padded bytes, five little-endian uint64 words:
+# A value's cell is 40 NUL-padded bytes, five little-endian uint64 words
+# (``_WORD``, whatever the host's byte order):
 # byte 0 holds the sign and bytes 1-5 the "0.000" of X < 0; digit j sits in
 # byte 6 + 2j and the point, if it follows digit j, in byte 7 + 2j.  Word 0
 # holds digit 0, word w = 1..4 digits 4w - 3 to 4w; byte 39, after digit 16,
 # is left NUL for the caller's separator.
 _CELL = 40
+_WORD = np.dtype("<u8")
 _POW5 = np.uint64(5) ** np.arange(21, dtype=np.uint64)
 _POW5_HI, _POW5_LO = _POW5 >> 32, _POW5 & 0xFFFFFFFF
 
@@ -145,7 +151,7 @@ def _cell_tables():
     keep = np.zeros(shape, dtype=np.uint8)
     keep[..., 6::2] = np.where(np.arange(17) <= last[..., None], 0xFF, 0)
     words = np.concatenate([marks[..., :8], keep[..., 8:], marks[..., 8:]], axis=-1)
-    return groups.view(np.uint64)[..., 0], words.view(np.uint64).reshape(680, 9).T.copy()
+    return groups.view(_WORD)[..., 0], words.view(_WORD).reshape(680, 9).T.copy()
 
 
 def _digits17(m, e, x):
@@ -170,7 +176,7 @@ def _digits17(m, e, x):
 
 
 def _format_17g(values):
-    """The ``"%.17g" % v`` cell of each float64 v, as (5, n) uint64 word planes."""
+    """The ``"%.17g" % v`` cell of each float64 v, as (5, n) ``_WORD`` planes."""
     groups, masks = _cell_tables()
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1e16)  # not nan, inf, 0 or subnormal
@@ -179,12 +185,6 @@ def _format_17g(values):
     mantissa, e = np.frexp(a)
     m = (mantissa * 2.0**53).astype(np.uint64)
     d = _digits17(m, e, x)
-    # Next to a power of ten floor(log10) can be one off, and rounding to 17
-    # digits can reach the next power: redo those a decade over.
-    redo = np.flatnonzero((d < 10**16) | (d >= 10**17))
-    x[redo] += np.where(d[redo] < 10**16, -1, 1)
-    redo = redo[(x[redo] >= -4) & (x[redo] <= 15)]
-    d[redo] = _digits17(m[redo], e[redo], x[redo])
     slow = np.flatnonzero(~fast | (d < 10**16) | (d >= 10**17))
     d[slow] = 10**16
     x[slow] = 0
@@ -192,7 +192,7 @@ def _format_17g(values):
     # D = lead * 10**16 + four 4-digit groups.
     high, low = np.divmod(d.view(np.int64), 10**8)
     lead, high = np.divmod(high, 10**8)
-    words = np.empty((5, len(d)), dtype=np.uint64)
+    words = np.empty((5, len(d)), dtype=_WORD)
     for w, g in enumerate((*np.divmod(high, 10**4), *np.divmod(low, 10**4)), start=1):
         np.take(groups[w - 1], g, out=words[w])
     # %g keeps the digits up to the last nonzero one and at least up to X.
@@ -202,15 +202,15 @@ def _format_17g(values):
     words[1:] |= masks[5:, key]
     words[0] = masks[0, key] | (lead.view(np.uint64) + ord("0")) << 48
     text = ["%.17g" % v for v in values[slow].tolist()]
-    words[:, slow] = np.array(text, dtype=f"S{_CELL}").view(np.uint64).reshape(-1, 5).T
+    words[:, slow] = np.array(text, dtype=f"S{_CELL}").view(_WORD).reshape(-1, 5).T
     return words
 
 
 def _write_trace_csv(fh, trace):
-    """Write the ``chain,step,h,x_1..x_p`` trace, ``_CSV_ROWS`` rows per write.
+    """Write the ``chain,step,h,x_1..x_p`` trace, about ``_CSV_ROWS`` values per write.
 
     The rows run chain after chain, so a block may end one chain and start the
-    next.  A block is one NUL-padded uint64 matrix with a row per trace row:
+    next.  A block is one NUL-padded ``_WORD`` matrix with a row per trace row:
     the ``chain,`` and ``step,h,`` prefix (every chain shares its recorded
     steps and step sizes) in the first words, then the ``_format_17g`` cell of
     each coordinate with its separator in its last byte.  Dropping the NULs
@@ -226,13 +226,14 @@ def _write_trace_csv(fh, trace):
     # The chain text in bytes [0, wc) and the step text after it, so a row's
     # prefix is the OR of the two.
     text = np.array(chains + ["\0" * wc + s for s in steps], dtype=f"S{8 * n_prefix}")
-    chain_words, step_words = np.split(text.view(np.uint64).reshape(-1, n_prefix), [n_chains])
+    chain_words, step_words = np.split(text.view(_WORD).reshape(-1, n_prefix), [n_chains])
     separators = np.full(p, ord(","), dtype=np.uint64)
     separators[-1] = ord("\n")
     separators <<= 56  # byte 39 of a cell
     points = trace.points.reshape(-1, p)
-    matrix = np.empty((min(_CSV_ROWS, len(points)), n_prefix + 5 * p), dtype=np.uint64)
-    for start in range(0, len(points), _CSV_ROWS):
+    rows = max(1, _CSV_ROWS // p)
+    matrix = np.empty((min(rows, len(points)), n_prefix + 5 * p), dtype=_WORD)
+    for start in range(0, len(points), rows):
         block = matrix[:len(points) - start]
         stop = start + len(block)
         for c in range(start // n_records, (stop - 1) // n_records + 1):
@@ -253,8 +254,8 @@ def _cmd_sample(args) -> int:
     A path under a missing directory is refused before the run; the output is
     opened only after the run succeeds, so a gate failure or a numerical
     breakdown leaves no file.  Memory is bounded by the recorded
-    points (8 * chains * records * p bytes) plus one ``_CSV_ROWS``-row block,
-    not by the CSV text.
+    points (8 * chains * records * p bytes) plus one block of about
+    ``_CSV_ROWS`` values (one row if p is larger), not by the CSV text.
     """
     _check_output(args.out)
     target = parse_target(args.target)

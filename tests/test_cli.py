@@ -173,9 +173,10 @@ def test_format_17g_matches_percent_g():
 @pytest.mark.parametrize("rows", [1, 4, 9, 23, 1000])
 def test_sample_csv_writer_across_chain_boundaries(rows, monkeypatch):
     # Blocks of 1 to 23 rows start and end inside 9-record chains and span
-    # several of them; 1000 holds the whole trace.  Negative, tiny (< 1e-4)
+    # several of them; 1000 holds the whole trace.  A block of 6 coordinates
+    # holds _CSV_ROWS // 6 rows, and at least one.  Negative, tiny (< 1e-4)
     # and huge values sit next to a sample of the fast-path edges.
-    monkeypatch.setattr(cli, "_CSV_ROWS", rows)
+    monkeypatch.setattr(cli, "_CSV_ROWS", 6 * rows if rows > 1 else 5)
     values = np.concatenate([[-1e-5, 3e-9, -2.5e-300, 1e200, -7e16, -0.0],
                              _fast_path_edges()[::102]])
     points = np.resize(values, (6, 9, 6))
@@ -183,8 +184,11 @@ def test_sample_csv_writer_across_chain_boundaries(rows, monkeypatch):
     step_sizes = np.array([0.0, 0.1, 0.05, 0.05, 0.025, 1e-5, 0.05, 0.1, 2.0])
     trace = Trace(points, steps, step_sizes, np.zeros(6, dtype=np.int64))
     fh = io.StringIO()
+    writes = []
+    fh.write = lambda text: writes.append(text) or io.StringIO.write(fh, text)
     cli._write_trace_csv(fh, trace)
     assert fh.getvalue() == _per_value_csv(trace, 6)
+    assert len(writes) == 1 + -(-54 // rows)  # the header, then one write per block
 
 
 def test_sample_csv_digest_is_pinned(capsys):
