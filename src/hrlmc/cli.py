@@ -33,6 +33,7 @@ from .errors import (
     InvalidParameters,
     NumericalBreakdown,
     StepOutOfWindow,
+    check_allocation,
     parse_numbers,
 )
 from .experiments import ExperimentConfig, _fmt, run_convergence_experiment, run_dimension_sweep
@@ -276,6 +277,9 @@ def _cmd_sample(args) -> int:
 
 def _load_cloud(path) -> np.ndarray:
     text = _read_input(path)
+    # One float64 per value, and every value but the first follows a separator.
+    check_allocation(8 * (text.count(",") + text.count("\n") + 1), f"loading {path}",
+                     "load a smaller cloud")
     try:
         with warnings.catch_warnings():
             # An empty cloud is reported below as an error, not as a warning.

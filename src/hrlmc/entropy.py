@@ -16,6 +16,7 @@ a point is an array of shape ``(..., dim)``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -254,6 +255,12 @@ class MixedEntropy(Entropy):
 
     The argument stays in the log domain, so no coordinate overflows, and the
     map is elementwise, so a row's value never depends on its batch.
+
+    Construction stores what every call would otherwise recompute: ``1 - a``
+    (``_complement``), the Burg and Wright column indices (``_burg_cols``,
+    ``_wright_cols``), and the Wright columns' ``a``, ``1 - a`` and
+    ``log((1-a)/a)``.  The inverse gathers each group of columns by index
+    and applies the same floating-point operations as the formula above.
     """
 
     def __init__(self, weights):
@@ -271,6 +278,12 @@ class MixedEntropy(Entropy):
         # Burg coordinates (a_i = 0) map onto y < 0, the others onto the line.
         if np.any(a == 0.0):
             self._dual_upper = np.where(a == 0.0, 0.0, np.inf)
+        self._complement = 1.0 - a
+        self._burg_cols = np.flatnonzero(a == 0.0)
+        self._wright_cols = np.flatnonzero(a != 0.0)
+        self._wright_a = a[self._wright_cols]
+        self._wright_complement = self._complement[self._wright_cols]
+        self._wright_log_ratio = np.log(self._wright_complement / self._wright_a)
 
     def interior_point(self):
         return np.ones(self.dim)
@@ -280,28 +293,20 @@ class MixedEntropy(Entropy):
 
     def _value_unchecked(self, x):
         lg = np.log(x)
-        return np.sum(self.weights * x * lg - (1.0 - self.weights) * lg, axis=-1)
+        return np.sum(self.weights * x * lg - self._complement * lg, axis=-1)
 
     def _grad_unchecked(self, x):
-        a = self.weights
-        return a * (np.log(x) + 1.0) - (1.0 - a) / x
+        return self.weights * (np.log(x) + 1.0) - self._complement / x
 
     def _hessian_diag_unchecked(self, x):
-        a = self.weights
-        return a / x + (1.0 - a) / (x * x)
+        return self.weights / x + self._complement / (x * x)
 
     def _grad_conjugate_unchecked(self, y):
-        # Local: scipy is ~0.6 s of import set-up that only the mixed inverse needs.
-        from scipy.special import wrightomega
-
-        a = np.broadcast_to(self.weights, y.shape)
         x = np.empty_like(y)
-        burg = a == 0.0
-        x[burg] = -1.0 / y[burg]
-        todo = ~burg
-        aa = a[todo]
-        omega = wrightomega(np.log((1.0 - aa) / aa) + (aa - y[todo]) / aa)
-        x[todo] = (1.0 - aa) / (aa * omega)
+        x[..., self._burg_cols] = -1.0 / y[..., self._burg_cols]
+        aw = self._wright_a
+        omega = _wrightomega()(self._wright_log_ratio + (aw - y[..., self._wright_cols]) / aw)
+        x[..., self._wright_cols] = self._wright_complement / (aw * omega)
         return x
 
 
@@ -388,6 +393,15 @@ class ScaledEntropy(Entropy):
 
     def _hessian_sqrt_diag_unchecked(self, x):
         return self._sqrt_alpha * self.base._hessian_sqrt_diag_unchecked(x)
+
+
+@functools.cache
+def _wrightomega():
+    # Imported on first use: scipy is ~0.6 s of import set-up that only the
+    # mixed inverse needs.
+    from scipy.special import wrightomega
+
+    return wrightomega
 
 
 def _log_uniform(rng, shape, lo, hi):

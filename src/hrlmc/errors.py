@@ -146,12 +146,17 @@ def check_allocation(n_bytes, what, remedy):
     Called before numpy tries it, which would fail late or swap; the
     InvalidParameters message says ``what`` needs the memory and the ``remedy``.
     """
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):  # no sysconf on this platform
-        return
-    if n_bytes > physical:
+    physical = _physical_memory()
+    if physical is not None and n_bytes > physical:
         raise InvalidParameters(
             f"{what} needs {n_bytes / 2**30:.1f} GiB, more than the "
             f"{physical / 2**30:.1f} GiB of physical memory; {remedy}"
         )
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):  # no sysconf on this platform
+        return None

@@ -27,6 +27,16 @@ how chains are batched or threaded.
 The metric D2phi(x) is diagonal for every entropy here, so the noise term
 is the coordinate-wise product of its square-root diagonal with xi.
 
+Per-run constants: only x, y and xi change between steps, so nothing else
+is recomputed per step.  sqrt(2 h) comes from ``math.sqrt`` (correctly
+rounded, as ``np.sqrt`` is) once per distinct h: once per run for a constant
+schedule, once per step for a harmonic one, once per halving on retries.
+The maps keep their own constants from construction (``MixedEntropy``'s
+column indices and ``log((1-a)/a)``, ``gamma_target``'s ``1 - a``).  Every
+proposal, first or retried, is accepted by one predicate, ``entropy.contains``
+of its inverse (``_try_invert``); a step whose first proposals are all
+accepted allocates no rejection vector.
+
 Boundary policy: a proposed y' whose x' = grad_phi_conjugate(y') leaves
 the guarded domain (non-finite, or inside the guard band) is rejected and
 redrawn from the retry stream.  The dual image of every registered entropy
@@ -222,6 +232,7 @@ def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_e
     # Drawing a stream in several calls yields the same numbers as one call,
     # so the chunk length changes memory use but not the trajectories.
     steps_per_chunk = max(1, min(_NOISE_CHUNK, _NOISE_BYTES // (8 * n_chains * p)))
+    h_root = root = None  # the step size whose sqrt(2 h) is ``root``
     k = 0
     while k < n_steps:
         chunk = min(steps_per_chunk, n_steps - k)
@@ -229,12 +240,15 @@ def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_e
         main.fill(range(n_chains), noise, keep=k + chunk < n_steps)
         for j in range(chunk):
             h = schedule.h_at(k + 1)
+            if h != h_root:
+                h_root, root = h, math.sqrt(2.0 * h)
             gf = target.grad(X)
             # X passed a domain check: the x0 check or the acceptance test
             # in _try_invert.
             sq = entropy._hessian_sqrt_diag_unchecked(X)
-            Y, X, rej = _advance_rows(entropy, Y, gf, sq, h, noise[:, j, :], retry)
-            rejections += rej
+            Y, X, rej = _advance_rows(entropy, Y, gf, sq, h, root, noise[:, j, :], retry)
+            if rej is not None:
+                rejections += rej
             k += 1
             if rec_pos < len(record_ks) and record_ks[rec_pos] == k:
                 rec_points[:, rec_pos, :] = X
@@ -349,8 +363,9 @@ def _seed_state_keys(words) -> np.ndarray:
                      state[2] | (state[3] << np.uint64(32))], axis=-1)
 
 
-def _propose(Y, gf, sq, h, xi):
-    return Y - h * gf + np.sqrt(2.0 * h) * (sq * xi)
+def _propose(Y, gf, sq, h, root, xi):
+    """The proposal y' at step size h, given ``root`` = sqrt(2 h)."""
+    return Y - h * gf + root * (sq * xi)
 
 
 def _try_invert(entropy, y_new):
@@ -367,24 +382,30 @@ def _try_invert(entropy, y_new):
     return entropy.contains(x_new), x_new
 
 
-def _advance_rows(entropy, Y, gf, sq, h, xi, retry):
-    """One step for every row with the rejection/step-halving policy."""
-    y_new = _propose(Y, gf, sq, h, xi)
+def _advance_rows(entropy, Y, gf, sq, h, root, xi, retry):
+    """One step for every row with the rejection/step-halving policy.
+
+    Returns (Y', X', failed proposals per row), the last None when every
+    first proposal was accepted.
+    """
+    y_new = _propose(Y, gf, sq, h, root, xi)
     ok, x_new = _try_invert(entropy, y_new)
-    rejections = np.zeros(Y.shape[0], dtype=np.int64)
-    if ok.all():
-        return y_new, x_new, rejections
+    if np.count_nonzero(ok) == ok.size:
+        return y_new, x_new, None
 
     # Each try proposes for all still-rejected rows at once; every row draws
     # from its own retry stream.  Those rows have all failed the same number
     # of tries, so one step size serves the round: MAX_RETRIES tries at h,
     # then MAX_RETRIES at each halving (x0.5 is exact).
+    rejections = np.zeros(Y.shape[0], dtype=np.int64)
     bad = np.flatnonzero(~ok)
     for t in range(MAX_RETRIES * (MAX_HALVINGS + 1)):
         rejections[bad] += 1
         xi_b = retry.draw(bad)
-        h_t = h * 0.5 ** (t // MAX_RETRIES)
-        y_b = _propose(Y[bad], gf[bad], sq[bad], h_t, xi_b)
+        if t % MAX_RETRIES == 0:
+            h_t = h * 0.5 ** (t // MAX_RETRIES)
+            root_t = math.sqrt(2.0 * h_t)
+        y_b = _propose(Y[bad], gf[bad], sq[bad], h_t, root_t, xi_b)
         ok_b, x_b = _try_invert(entropy, y_b)
         good = bad[ok_b]
         y_new[good] = y_b[ok_b]

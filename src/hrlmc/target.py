@@ -198,12 +198,13 @@ def gamma_target(a, b) -> Target:
             "paired Burg entropy is only declared finite for a > 3"
         )
     p = a.size
+    complement = 1.0 - a  # computed once, not on every grad call
 
     def potential(x):
-        return np.sum((1.0 - a) * np.log(x) + b * x, axis=-1)
+        return np.sum(complement * np.log(x) + b * x, axis=-1)
 
     def grad(x):
-        return (1.0 - a) / x + b
+        return complement / x + b
 
     def hessian(x):
         return _diag_embed((a - 1.0) / (x * x))

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from hrlmc import cli
+from hrlmc import cli, errors
 from hrlmc.sampler import Trace
 
 
@@ -477,6 +477,27 @@ def test_check_oversized_pairs_fail_fast(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: drawing") and "GiB" in err and "use fewer pairs" in err
+    assert not out.exists()
+
+
+def test_distance_oversized_cloud_fails_fast(monkeypatch, tmp_path, capsys):
+    # 4096 values take 32 KiB as float64; with 16 KiB of physical memory the
+    # allocation guard refuses the cloud before np.loadtxt parses it.
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("parsed the cloud before the refusal")
+
+    a = tmp_path / "a.csv"
+    a.write_text("1.0,2.0\n" * 2048)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 16 << 10)
+    monkeypatch.setattr(cli.np, "loadtxt", loadtxt)
+    out = tmp_path / "d.json"
+    start = time.perf_counter()
+    code = run_cli(["distance", "--entropy", "burg", "--a", str(a), "--b", str(a),
+                    "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: loading {a} needs") and "GiB" in err, err
     assert not out.exists()
 
 

@@ -99,6 +99,35 @@ def test_mixed_weight_validation():
         ent.mixed([-0.1])
 
 
+@pytest.mark.parametrize("weights", [[0.3, 0.0, 0.7, 0.0], [0.0, 0.0], [0.3, 0.7]],
+                         ids=["some-zero", "all-zero", "none-zero"])
+def test_mixed_inverse_matches_closed_form_per_coordinate(weights):
+    # The inverse with stored constants against the class docstring's closed
+    # form (-1/y where a = 0), evaluated one coordinate at a time, bit for
+    # bit on every batch shape.  The values are interior points and the edge
+    # values of test_try_invert_masks_rows_as_if_inverted_alone.
+    from scipy.special import wrightomega
+
+    mix = ent.mixed(weights)
+    edge = [5e-324, 1e-300, 1e-12, 0.0, 0.5, 40.0, 800.0, 3e5, 1e13, 1e300, math.inf, math.nan]
+    values = np.array([-2.0, -0.25, 1.5, *edge, *(-v for v in edge)])
+    y = np.stack([np.roll(values, j) for j in range(mix.dim)], axis=-1)
+
+    def closed_form(v, a):
+        if a == 0.0:
+            return -1.0 / v
+        return (1.0 - a) / (a * wrightomega(np.log((1.0 - a) / a) + (a - v) / a))
+
+    with np.errstate(all="ignore"):
+        want = np.array([[closed_form(v, a) for v, a in zip(row, mix.weights)] for row in y])
+        rows = np.array([mix._grad_conjugate_unchecked(row) for row in y])
+        batch = mix._grad_conjugate_unchecked(y)
+        stacked = mix._grad_conjugate_unchecked(np.stack([y, y[::-1]]))
+    assert rows.tobytes() == want.tobytes()
+    assert batch.tobytes() == want.tobytes()
+    assert stacked.tobytes() == np.stack([want, want[::-1]]).tobytes()
+
+
 def test_boltzmann_shannon_not_in_table_registry():
     names = [e.name for e in registered()]
     assert "boltzmann-shannon" not in names

@@ -34,7 +34,7 @@ def gauss_pair(p=1, diag=None):
 def _step(e, t, x, h, xi):
     """One proposal from x with fixed noise xi: (accepted, y', x')."""
     x = np.array([x], dtype=float)
-    y = smp._propose(e.grad(x), t.grad(x), e.hessian_sqrt_diag(x), h,
+    y = smp._propose(e.grad(x), t.grad(x), e.hessian_sqrt_diag(x), h, math.sqrt(2.0 * h),
                      np.array([xi], dtype=float))
     ok, x_new = smp._try_invert(e, y)
     return bool(ok[0]), y[0], x_new[0]
@@ -83,7 +83,7 @@ def test_step_keeps_dual_cache_consistent():
     y = e.grad(x)
     for _ in range(20):
         y, x, _ = smp._advance_rows(e, y, t.grad(x), e.hessian_sqrt_diag(x), 0.05,
-                                    rng.standard_normal((1, 1)), retry)
+                                    math.sqrt(2.0 * 0.05), rng.standard_normal((1, 1)), retry)
         assert np.linalg.norm(y - e.grad(x)) <= 1e-10 * (1.0 + np.linalg.norm(y))
 
 
@@ -467,6 +467,30 @@ def test_halving_path_points_are_pinned(monkeypatch):
     assert hashlib.sha256(points.tobytes()).hexdigest() == (
         "23d0521aa319d162c387fa56cc239876dff53b7fb0a0789422cfdcdbb6be7d3b"
     )
+
+
+@pytest.mark.parametrize("entropy, target, schedule, x0, seed, n_rejections, digest", [
+    ("logit", "beta:a1=4,a2=4", "harmonic:a=0.3", 0.5, 11, 0,
+     "3f1233aff35eb2b012b2c60a91f6d925b494a925e542232f19330254d83715e7"),
+    ("mixed:a=0.3,0.7", "gamma:a=5,5;b=1,1", "constant:h=0.05", 1.0, 12, 0,
+     "781d039646092bf42ecfa7d55bb49a09d260c5c481e4569c8096382afe4f32e5"),
+    ("mixed:a=0,0.5", "gamma:a=5,5;b=1,1", "constant:h=0.3", 1.0, 13, 1508,
+     "0381454a91faf4910abe923752d95f9a3ab5d18472da48f88eb423cedf7eee10"),
+    ("scaled:2.5*burg", "gamma:a=5,b=1", "constant:h=0.2", 1.0, 14, 63,
+     "0b360de8abf836abd9be81080c4d52b641bad268d7739eeb0cd52973142c6019"),
+    ("euclidean", "gaussian:A=diag(1,2)", "constant:h=0.1", 0.0, 15, 0,
+     "d35906646f64ad0fbb81f7a4cfb0dd58a2e9b6f1ca64ee385a345a24fa6d92f1"),
+], ids=["logit-harmonic", "mixed-no-burg", "mixed-retries", "scaled-burg", "euclidean"])
+def test_trajectory_is_pinned(entropy, target, schedule, x0, seed, n_rejections, digest):
+    # sha256 of the points and then the rejection counts of 32 chains x 200
+    # steps (300 for the harmonic schedule, whose h changes every step).
+    t = tgt.parse_target(target)
+    e = ent.parse_entropy(entropy, dim=t.dim)
+    n_steps = 300 if schedule.startswith("harmonic") else 200
+    trace = smp.run_parallel_chains(e, t, smp.parse_schedule(schedule), [x0], n_steps, seed, 32,
+                                    override_gate=True)
+    assert trace.rejections.sum() == n_rejections
+    assert hashlib.sha256(trace.points.tobytes() + trace.rejections.tobytes()).hexdigest() == digest
 
 
 def test_exhausted_retries_raise_numerical_breakdown(monkeypatch):
