@@ -18,9 +18,10 @@ Both experiments share one path (``_checkpoint_distances``): run the chains,
 then one distance task per (checkpoint, reference seed) pair; the tasks are
 independent and pure.  Each checkpoint cloud is pushed through the mirror
 map once, before the tasks, and every task embeds only its own reference
-cloud.  When the tasks solve assignments they run in forked worker
-processes, up to one per usable CPU; each result returns to its own slot, so
-the output does not depend on the number of workers.
+cloud.  Whatever the estimator, the tasks run in worker processes forked
+for the call, up to one per usable CPU, which take task indices from one
+pipe as they finish; each result returns to its own slot, so the output does
+not depend on the number of workers.
 
 Every experiment is a pure function of its config; re-running writes
 byte-identical CSV output (floats serialized with 17 significant digits).
@@ -28,9 +29,10 @@ byte-identical CSV output (floats serialized with 17 significant digits).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import get_type_hints
 
@@ -130,37 +132,95 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_worker_task = None  # set in each forked worker to the task of its pool
+def _serve(task, indices, feed, reply):
+    """A forked worker: run ``task`` on each index read from ``indices`` until
+    EOF, send one pickle of the ``(index, result)`` pairs, or of the first
+    exception and its traceback, on ``reply``, and exit.
+
+    ``feed`` is this process's copy of the write end of ``indices``; it is
+    closed first, or the worker would never see EOF.
+    """
+    try:
+        os.close(feed)
+        try:
+            done = []
+            while index := os.read(indices, 4):
+                i = int.from_bytes(index, "little")
+                done.append((i, task(i)))
+            payload = pickle.dumps(done)
+        except BaseException as exc:
+            import traceback
+
+            payload = pickle.dumps((exc, traceback.format_exc()))
+        with open(reply, "wb") as out:
+            out.write(payload)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
-def _install_task(task):
-    global _worker_task
-    _worker_task = task
+def _map_distance_tasks(task, n_tasks):
+    """``[task(i) for i in range(n_tasks)]``, over forked worker processes.
 
-
-def _run_installed(i):
-    return _worker_task(i)
-
-
-def _map_distance_tasks(task, n_tasks, method):
-    """``[task(i) for i in range(n_tasks)]``, over worker processes when the
-    tasks solve assignments.
-
-    Only assignment solves cost enough to pay for the workers; exact-1d and
-    sliced tasks run in this process.  Workers are forked so they inherit
-    ``task`` (its clouds and targets do not pickle) and the solver modules
-    that ``metrics.resolve_method`` imports; only task indices and results
-    cross the process boundary.  An exception raised in a worker is re-raised
-    here with its own type, and a worker that dies raises
-    ``BrokenProcessPool`` instead of hanging.
+    Up to one worker per usable CPU is forked, so each inherits ``task`` (its
+    clouds and targets do not pickle) and the solver modules that
+    ``metrics.resolve_method`` imports.  This process writes each task index
+    to one pipe as its own 4-byte write, which is atomic, and closes it; each
+    worker reads indices until EOF, so a worker that draws cheap tasks takes
+    more of them.  A worker returns its ``(index, result)`` pairs as one pickle
+    on a pipe of its own and each result goes back to its own slot, so the
+    output does not depend on the number of workers.  An exception raised in a
+    worker is re-raised here with its own type, and a worker that ends without
+    a reply raises ``RuntimeError`` with its exit status.  Every worker is
+    killed and reaped before this returns or raises.
     """
     workers = min(_usable_cpus(), n_tasks)
-    if (method != "assignment" or workers < 2
-            or "fork" not in multiprocessing.get_all_start_methods()):
+    if workers < 2 or not hasattr(os, "fork"):
         return [task(i) for i in range(n_tasks)]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_install_task, initargs=(task,)) as pool:
-        return list(pool.map(_run_installed, range(n_tasks)))
+    # A child must not inherit, and later write out again, buffered text.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids, replies = [], []
+    indices_r, indices_w = os.pipe()
+    with open(indices_r, "rb", 0) as indices_in, open(indices_w, "wb", 0) as indices_out:
+        try:
+            for _ in range(workers):
+                reply_r, reply_w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _serve(task, indices_r, indices_w, reply_w)
+                pids.append(pid)
+                os.close(reply_w)
+                replies.append(open(reply_r, "rb"))
+            indices_in.close()  # so a write fails once every worker has stopped reading
+            try:
+                for i in range(n_tasks):
+                    os.write(indices_w, i.to_bytes(4, "little"))
+            except BrokenPipeError:  # every worker has stopped; their replies say why
+                pass
+            indices_out.close()
+            results = [None] * n_tasks
+            for pid, reply in zip(pids, replies):
+                with reply:
+                    payload = reply.read()
+                if not payload:
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    pids.remove(pid)
+                    raise RuntimeError(f"distance worker {pid} ended with status {status} "
+                                       "and no result")
+                done = pickle.loads(payload)
+                if isinstance(done, tuple):
+                    exc, text = done
+                    raise exc from RuntimeError(f"in distance worker {pid}:\n{text}")
+                for i, value in done:
+                    results[i] = value
+            return results
+        finally:
+            for reply in replies:
+                reply.close()
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _embedded_clouds(entropy, trace, checkpoints):
@@ -186,8 +246,7 @@ def _checkpoint_distances(entropy, target, schedule, config, seed, ks, pair):
     reference seed ``rep``.  Returns the trace and the results stacked to
     shape ``(len(ks), config.reference_seeds, ...)``.
     """
-    method = metrics.resolve_method(config.distance_method, config.chains, config.chains,
-                                    target.dim)
+    metrics.resolve_method(config.distance_method, config.chains, config.chains, target.dim)
     trace = run_parallel_chains(entropy, target, schedule, config.x0 or None, config.steps,
                                 seed, config.chains)
     clouds = _embedded_clouds(entropy, trace, ks)
@@ -197,7 +256,7 @@ def _checkpoint_distances(entropy, target, schedule, config, seed, ks, pair):
         k = int(ks[i // reps])
         return pair(clouds[k], k, i % reps)
 
-    values = np.array(_map_distance_tasks(task, len(ks) * reps, method))
+    values = np.array(_map_distance_tasks(task, len(ks) * reps))
     return trace, values.reshape(len(ks), reps, *values.shape[1:])
 
 

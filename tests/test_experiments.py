@@ -1,7 +1,11 @@
 """Experiment-layer tests: config round trips, traces, sweeps, plateaus."""
 
 import hashlib
+import io
 import math
+import os
+import signal
+import sys
 
 import numpy as np
 import pytest
@@ -237,19 +241,25 @@ def _sweep_csv():
     return exp.run_dimension_sweep(cfg, dims=[1, 2]).to_csv()
 
 
-def _convergence_csv():
-    cfg = small_gamma_config(target="gamma:a=5,5;b=1,1", steps=20, chains=64,
-                             checkpoints=(0, 10, 20), reference_seeds=4)
+def _convergence_csv(**overrides):
+    cfg = small_gamma_config(**{**dict(target="gamma:a=5,5;b=1,1", steps=20, chains=64,
+                                       checkpoints=(0, 10, 20), reference_seeds=4),
+                                **overrides})
     return exp.run_convergence_experiment(cfg).to_csv()
 
 
-@pytest.mark.parametrize("produce", [_sweep_csv, _convergence_csv], ids=["sweep", "p2-trace"])
+@pytest.mark.parametrize("produce", [
+    _sweep_csv,
+    _convergence_csv,
+    lambda: _convergence_csv(target="gamma:a=5;b=1", distance_method="exact-1d"),
+    lambda: _convergence_csv(distance_method="sliced"),
+], ids=["sweep", "p2-trace", "exact-1d-trace", "sliced-trace"])
 def test_csv_does_not_depend_on_worker_count(monkeypatch, produce):
     csvs = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(exp, "_usable_cpus", lambda workers=workers: workers)
         csvs.append(produce())
-    assert csvs[0] == csvs[1]
+    assert csvs[1:] == csvs[:1] * 2
 
 
 def test_worker_error_keeps_its_type(monkeypatch):
@@ -270,7 +280,63 @@ def test_worker_error_keeps_its_type_across_the_process_boundary(monkeypatch):
         return i
 
     with pytest.raises(SizeMismatch, match="task 1"):
-        exp._map_distance_tasks(task, 2, "assignment")
+        exp._map_distance_tasks(task, 2)
+
+
+@pytest.fixture
+def two_workers_within_5s(monkeypatch):
+    """Two workers for the map, a 5 s limit on the test, and no child left after it."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the worker map took over 5 s")
+
+    monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_that_exits_without_a_reply_raises_its_status(two_workers_within_5s):
+    def task(i):
+        if i == 1:
+            os._exit(3)
+        return i
+
+    with pytest.raises(RuntimeError, match="status 3"):
+        exp._map_distance_tasks(task, 4)
+
+
+def test_workers_that_all_fail_stop_the_feed(two_workers_within_5s):
+    # More indices than a 64 KiB pipe holds: the feed must notice that no
+    # worker reads any more instead of blocking on a full pipe.
+    def task(i):
+        raise SizeMismatch(f"task {i}")
+
+    with pytest.raises(SizeMismatch):
+        exp._map_distance_tasks(task, 20_000)
+
+
+def test_text_buffered_before_forking_workers_is_written_once(two_workers_within_5s,
+                                                               monkeypatch, capfd):
+    # pytest's own sys.stdout writes through; this one keeps text in its buffer.
+    with io.TextIOWrapper(open(os.dup(1), "wb")) as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        print("before the fork")
+
+        def task(i):
+            print(f"task {i}", flush=True)
+            return i
+
+        assert exp._map_distance_tasks(task, 4) == [0, 1, 2, 3]
+    lines = capfd.readouterr().out.splitlines()
+    assert lines[0] == "before the fork"
+    assert sorted(lines[1:]) == [f"task {i}" for i in range(4)]
 
 
 @pytest.mark.parametrize("run, overrides, error", [

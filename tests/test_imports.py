@@ -1,5 +1,6 @@
 """``import hrlmc`` loads no scipy module; each scipy module loads where it is used.
 
+Neither it nor a Burg sample loads ``multiprocessing`` or ``concurrent.futures``.
 Every check runs in a fresh interpreter, since this test process has already
 imported scipy.
 """
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hrlmc
 from hrlmc import entropy as ent, target as tgt
@@ -17,12 +19,20 @@ from hrlmc import entropy as ent, target as tgt
 SRC = str(Path(hrlmc.__file__).resolve().parent.parent)
 
 
-def _fresh(code, cwd):
-    """The scipy modules loaded after ``code`` ran in a fresh interpreter, and its stdout."""
+BURG_SAMPLE = (
+    "from hrlmc import cli\n"
+    "assert cli.main(['sample', '--entropy', 'burg', '--target', 'gamma:a=5,b=1', "
+    "'--h', '0.05', '--steps', '5', '--out', 't.csv']) == 0"
+)
+
+
+def _fresh(code, cwd, packages=("scipy",)):
+    """The modules of ``packages`` loaded after ``code`` ran in a fresh
+    interpreter, and its stdout."""
     out = subprocess.run(
         [sys.executable, "-c", f"import sys\nsys.path.insert(0, {SRC!r})\n{code}\n" + (
             "import json\nprint(json.dumps(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.'))))"
+            f"if m.split('.')[0] in {packages!r})))"
         )],
         cwd=cwd, capture_output=True, text=True, timeout=120, check=True,
     )
@@ -35,14 +45,16 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 def test_burg_sample_loads_no_scipy(tmp_path):
-    loaded, _ = _fresh(
-        "from hrlmc import cli\n"
-        "assert cli.main(['sample', '--entropy', 'burg', '--target', 'gamma:a=5,b=1', "
-        "'--h', '0.05', '--steps', '5', '--out', 't.csv']) == 0",
-        tmp_path,
-    )
+    loaded, _ = _fresh(BURG_SAMPLE, tmp_path)
     assert loaded == []
     assert (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("code", ["import hrlmc", BURG_SAMPLE], ids=["import", "burg-sample"])
+def test_no_process_pool_module_loads(tmp_path, code):
+    # Distance workers are forked with os.fork; the pool modules would only
+    # add to every run's start-up time.
+    assert _fresh(code, tmp_path, ("multiprocessing", "concurrent"))[0] == []
 
 
 def test_exact_1d_convergence_experiment_loads_no_scipy(tmp_path):
