@@ -126,17 +126,17 @@ def parse_spec(spec):
 
 
 def check_seed(seed):
-    """``seed`` unchanged unless an integer in it is negative, which raises InvalidParameters.
+    """``seed`` unchanged if it is a non-negative integer or a tuple of them.
 
-    numpy's seeding raises a bare ValueError for a negative integer; every
-    seed from user input passes through here first.
+    This is the library's one seed rule, checked before any draw.  Anything
+    else raises InvalidParameters: a negative integer, for which numpy's
+    seeding raises a bare ValueError, and the floats, lists, ``SeedSequence``
+    objects and None that numpy would take.
     """
-    if isinstance(seed, numbers.Integral):
-        if seed < 0:
-            raise InvalidParameters(f"a seed must be a non-negative integer, got {int(seed)}")
-    elif isinstance(seed, (list, tuple)):
-        for item in seed:
-            check_seed(item)
+    for item in seed if isinstance(seed, tuple) else (seed,):
+        if not isinstance(item, numbers.Integral) or item < 0:
+            raise InvalidParameters(
+                f"a seed must be a non-negative integer or a tuple of them, got {seed!r}")
     return seed
 
 

@@ -14,14 +14,22 @@ finite-sample floor of the estimator, which grows with dimension and would
 otherwise masquerade as sampler bias.  The debiased plateau is
 sqrt(max(median d^2(chain, exact) - median d^2(exact, exact'), 0)).
 
-Both experiments share one path (``_checkpoint_distances``): run the chains,
-then one distance task per (checkpoint, reference seed) pair; the tasks are
-independent and pure.  Each checkpoint cloud is pushed through the mirror
-map once, before the tasks, and every task embeds only its own reference
-cloud.  Whatever the estimator, the tasks run in worker processes forked
-for the call, up to one per usable CPU, which take task indices from one
-pipe as they finish; each result returns to its own slot, so the output does
-not depend on the number of workers.
+Both experiments share one path (``_checkpoint_distances``): one distance
+task per (checkpoint, reference seed) pair; the tasks are independent and
+pure.  Whatever the estimator, the tasks run in worker processes forked for
+the call, up to one per usable CPU, which take task indices from one pipe;
+each result returns to its own slot, so the output does not depend on the
+number of workers.  The workers are forked before the chains run.  This
+process runs the chains, pushes each checkpoint cloud through the mirror map
+once and copies it into an anonymous shared ``mmap`` made before the fork,
+where every worker reads it.  The sweep's workers take an index at a time
+once the clouds are written.  The convergence trace splits each task in two
+phases.  While the chains run, one worker fewer than usable CPUs draws and
+embeds the reference clouds of the indices it reads (and, for exact-1d,
+sorts them).  Once the clouds are written, each worker sorts each chain
+cloud it needs once and compares it with its prepared references, and this
+process joins them as the last worker, running both phases on the indices
+left.
 
 Every experiment is a pure function of its config; re-running writes
 byte-identical CSV output (floats serialized with 17 significant digits).
@@ -29,6 +37,8 @@ byte-identical CSV output (floats serialized with 17 significant digits).
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 import pickle
 import signal
@@ -41,7 +51,8 @@ import numpy as np
 from . import metrics
 from .analysis import bound_report, estimate_constants
 from .entropy import parse_entropy
-from .errors import InvalidParameters, check_seed, parse_number, parse_numbers
+from .errors import (InvalidParameters, check_allocation, check_seed, parse_number,
+                     parse_numbers)
 from .sampler import constant_schedule, parse_schedule, run_parallel_chains
 from .target import exact_sample, gamma_target, parse_target
 
@@ -67,7 +78,7 @@ class ExperimentConfig:
     ``x0`` holds either one coordinate broadcast to every chain or a full
     starting point; left empty, the chains start at the entropy's interior
     point.  ``checkpoints`` must include 0 so the initial distance can anchor
-    the bound curve.  ``reference_seeds``, ``assumption_pairs``
+    the bound curve.  ``chains``, ``reference_seeds``, ``assumption_pairs``
     and ``plateau_window`` must be at least 1.
     """
 
@@ -88,7 +99,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_seed(self.base_seed)
-        for name in ("reference_seeds", "assumption_pairs", "plateau_window"):
+        for name in ("chains", "reference_seeds", "assumption_pairs", "plateau_window"):
             if getattr(self, name) < 1:
                 raise InvalidParameters(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -132,13 +143,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _serve(task, indices, feed, reply):
+def _serve(task, prepare, indices, feed, reply):
     """A forked worker: run ``task`` on each index read from ``indices`` until
     EOF, send one pickle of the ``(index, result)`` pairs, or of the first
     exception and its traceback, on ``reply``, and exit.
 
-    ``feed`` is this process's copy of the write end of ``indices``; it is
-    closed first, or the worker would never see EOF.
+    With ``prepare``, run ``prepare(i)`` on each index as it is read and
+    ``task(i, prepare(i))`` on them all after EOF.  ``feed`` is this process's
+    copy of the write end of ``indices``; it is closed first, or the worker
+    would never see EOF.
     """
     try:
         os.close(feed)
@@ -146,7 +159,9 @@ def _serve(task, indices, feed, reply):
             done = []
             while index := os.read(indices, 4):
                 i = int.from_bytes(index, "little")
-                done.append((i, task(i)))
+                done.append((i, task(i) if prepare is None else prepare(i)))
+            if prepare is not None:
+                done = [(i, task(i, ready)) for i, ready in done]
             payload = pickle.dumps(done)
         except BaseException as exc:
             import traceback
@@ -159,47 +174,87 @@ def _serve(task, indices, feed, reply):
         os._exit(1)
 
 
-def _map_distance_tasks(task, n_tasks):
-    """``[task(i) for i in range(n_tasks)]``, over forked worker processes.
+def _map_distance_tasks(task, n_tasks, prepare=None, meanwhile=None):
+    """``[task(i) for i in range(n_tasks)]`` over forked worker processes, after ``meanwhile()``.
 
-    Up to one worker per usable CPU is forked, so each inherits ``task`` (its
-    clouds and targets do not pickle) and the solver modules that
-    ``metrics.resolve_method`` imports.  This process writes each task index
-    to one pipe as its own 4-byte write, which is atomic, and closes it; each
-    worker reads indices until EOF, so a worker that draws cheap tasks takes
-    more of them.  A worker returns its ``(index, result)`` pairs as one pickle
-    on a pipe of its own and each result goes back to its own slot, so the
-    output does not depend on the number of workers.  An exception raised in a
-    worker is re-raised here with its own type, and a worker that ends without
-    a reply raises ``RuntimeError`` with its exit status.  Every worker is
-    killed and reaped before this returns or raises.
+    Up to one worker per usable CPU is forked first, so each inherits ``task``
+    (its clouds and targets do not pickle) and the solver modules that
+    ``metrics.resolve_method`` imports.  This process then runs ``meanwhile()``,
+    writes each task index to one pipe as its own 4-byte write, which is
+    atomic, and closes it; each worker reads indices until EOF, so a worker
+    that draws cheap tasks takes more of them.
+
+    With ``prepare`` the map has two halves, and ``task`` takes the result of
+    the first: ``task(i, prepare(i))``.  One worker fewer is forked, and the
+    indices go into the pipe before ``meanwhile()``, as many as it holds, so
+    the workers run ``prepare`` on the indices they read while this process
+    runs ``meanwhile()``; the pipe is closed after it, and each worker runs
+    ``task`` on its indices at EOF.  This process then takes the last worker's
+    place: it runs both halves on the indices that did not fit in the pipe
+    and on those it reads from the pipe alongside the workers.  Without
+    workers, ``meanwhile()`` runs first and then each task's halves in turn.
+
+    A worker returns its ``(index, result)`` pairs as one pickle on a pipe of
+    its own and each result goes back to its own slot, so the output does not
+    depend on the number of workers.  An exception raised in a worker is
+    re-raised here with its own type, and a worker that ends without a reply
+    raises ``RuntimeError`` with its exit status; one raised in this process,
+    by ``meanwhile`` or a task, propagates unchanged.  Every worker is killed
+    and reaped before this returns or raises.
     """
     workers = min(_usable_cpus(), n_tasks)
     if workers < 2 or not hasattr(os, "fork"):
-        return [task(i) for i in range(n_tasks)]
+        if meanwhile is not None:
+            meanwhile()
+        if prepare is None:
+            return [task(i) for i in range(n_tasks)]
+        return [task(i, prepare(i)) for i in range(n_tasks)]
     # A child must not inherit, and later write out again, buffered text.
     sys.stdout.flush()
     sys.stderr.flush()
     pids, replies = [], []
     indices_r, indices_w = os.pipe()
+    results = [None] * n_tasks
     with open(indices_r, "rb", 0) as indices_in, open(indices_w, "wb", 0) as indices_out:
         try:
-            for _ in range(workers):
+            # With prepare, this process is the last worker once meanwhile() returns.
+            for _ in range(workers if prepare is None else workers - 1):
                 reply_r, reply_w = os.pipe()
                 pid = os.fork()
                 if pid == 0:
-                    _serve(task, indices_r, indices_w, reply_w)
+                    _serve(task, prepare, indices_r, indices_w, reply_w)
                 pids.append(pid)
                 os.close(reply_w)
                 replies.append(open(reply_r, "rb"))
-            indices_in.close()  # so a write fails once every worker has stopped reading
-            try:
-                for i in range(n_tasks):
-                    os.write(indices_w, i.to_bytes(4, "little"))
-            except BrokenPipeError:  # every worker has stopped; their replies say why
-                pass
-            indices_out.close()
-            results = [None] * n_tasks
+            if prepare is None:
+                indices_in.close()  # so a write fails once every worker has stopped reading
+                if meanwhile is not None:
+                    meanwhile()
+                try:
+                    for i in range(n_tasks):
+                        os.write(indices_w, i.to_bytes(4, "little"))
+                except BrokenPipeError:  # every worker has stopped; their replies say why
+                    pass
+                indices_out.close()
+            else:
+                # This process reads the pipe too, so a write that waits for room
+                # could wait forever; the indices that do not fit are its own.
+                os.set_blocking(indices_w, False)
+                fed = 0
+                try:
+                    while fed < n_tasks:
+                        os.write(indices_w, fed.to_bytes(4, "little"))
+                        fed += 1
+                except BlockingIOError:
+                    pass
+                if meanwhile is not None:
+                    meanwhile()
+                indices_out.close()
+                for i in range(fed, n_tasks):
+                    results[i] = task(i, prepare(i))
+                while index := indices_in.read(4):
+                    i = int.from_bytes(index, "little")
+                    results[i] = task(i, prepare(i))
             for pid, reply in zip(pids, replies):
                 with reply:
                     payload = reply.read()
@@ -223,40 +278,75 @@ def _map_distance_tasks(task, n_tasks):
                 os.waitpid(pid, 0)
 
 
-def _embedded_clouds(entropy, trace, checkpoints):
-    """Each checkpoint's chain cloud pushed through the mirror map once, by step k.
+def _embed_checkpoints(entropy, trace, checkpoints, out):
+    """Write the chain cloud recorded at step ``checkpoints[j]``, pushed through the
+    mirror map, to ``out[j]``.
 
-    Every reference cloud of a checkpoint is compared with the one embedding.
+    Every distance task of a checkpoint compares its cloud with this one embedding.
     """
     # Look records up by step, never index by k: a negative k would wrap.
     index = {int(k): i for i, k in enumerate(trace.steps)}
-    clouds = {}
-    for k in checkpoints:
+    for j, k in enumerate(checkpoints):
         if int(k) not in index:
             raise InvalidParameters(f"checkpoint {k} was not recorded")
-        clouds[int(k)] = metrics.mirror_embed(entropy, trace.points[:, index[int(k)]])
-    return clouds
+        out[j] = metrics.mirror_embed(entropy, trace.points[:, index[int(k)]])
 
 
-def _checkpoint_distances(entropy, target, schedule, config, seed, ks, pair):
-    """Run the configured chains from ``seed`` and map ``pair`` over the distance tasks.
+def _checkpoint_distances(entropy, target, schedule, config, seed, ks, pair, reference=None,
+                          comparable=None):
+    """Run the configured chains from ``seed`` and map the distance tasks over their clouds.
 
-    Task (j, rep) calls ``pair(cloud, ks[j], rep)`` with the chain cloud
-    recorded at step ``ks[j]``, pushed through the mirror map, for each
-    reference seed ``rep``.  Returns the trace and the results stacked to
-    shape ``(len(ks), config.reference_seeds, ...)``.
+    Task (j, rep) compares the chain cloud recorded at step ``ks[j]``, pushed
+    through the mirror map, with reference seed ``rep``.  The distance workers
+    are forked before the chains run; this process then runs the chains and
+    writes the embedded checkpoint clouds to a shared buffer, which the
+    workers read.  Without ``reference``, the task is ``pair(cloud, ks[j],
+    rep)``, run once the buffer is written.  With it, the task has two halves.
+    The workers draw ``reference(ks[j], rep)``, an embedded cloud that does not
+    depend on the chains, while the chains run; then the task is
+    ``pair(comparable(cloud), comparable(ref))``, and each process applies
+    ``comparable`` to each chain cloud it compares only once.  Returns the
+    trace and the results stacked to shape ``(len(ks), config.reference_seeds,
+    ...)``.
     """
     metrics.resolve_method(config.distance_method, config.chains, config.chains, target.dim)
-    trace = run_parallel_chains(entropy, target, schedule, config.x0 or None, config.steps,
-                                seed, config.chains)
-    clouds = _embedded_clouds(entropy, trace, ks)
     reps = config.reference_seeds
+    n_tasks = len(ks) * reps
+    shape = (len(ks), config.chains, target.dim)
+    check_allocation(8 * math.prod(shape), "holding the checkpoint clouds",
+                     "use fewer chains or checkpoints")
+    # Anonymous shared memory: what this process writes to it after the fork,
+    # the workers read.
+    clouds = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+    trace = None
 
-    def task(i):
-        k = int(ks[i // reps])
-        return pair(clouds[k], k, i % reps)
+    def run_chains():
+        nonlocal trace
+        trace = run_parallel_chains(entropy, target, schedule, config.x0 or None, config.steps,
+                                    seed, config.chains)
+        _embed_checkpoints(entropy, trace, ks, clouds)
 
-    values = np.array(_map_distance_tasks(task, len(ks) * reps))
+    if reference is None:
+        prepare = None
+
+        def task(i):
+            return pair(clouds[i // reps], int(ks[i // reps]), i % reps)
+    else:
+        check_allocation(8 * n_tasks * config.chains * target.dim,
+                         "holding the reference clouds",
+                         "use fewer chains, checkpoints or reference seeds")
+        chain_clouds = {}  # filled in each process, one entry per checkpoint it compares
+
+        def prepare(i):
+            return comparable(reference(int(ks[i // reps]), i % reps))
+
+        def task(i, ref):
+            j = i // reps
+            if j not in chain_clouds:
+                chain_clouds[j] = comparable(clouds[j])
+            return pair(chain_clouds[j], ref)
+
+    values = np.array(_map_distance_tasks(task, n_tasks, prepare, run_chains))
     return trace, values.reshape(len(ks), reps, *values.shape[1:])
 
 
@@ -302,10 +392,9 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
         raise InvalidParameters("checkpoints must be nonempty and include 0")
     ks = np.unique(np.asarray(config.checkpoints, dtype=int))
 
-    def distance(cloud, k, rep):
+    def reference(k, rep):
         ref = _reference_cloud(target, config.chains, config.base_seed, 7733, k, rep)
-        return metrics.w2_embedded(cloud, metrics.mirror_embed(entropy, ref),
-                                   method=config.distance_method).value
+        return metrics.mirror_embed(entropy, ref)
 
     # The report and the bound come first, so an inadmissible regime or a step
     # outside the window fails before any chain runs.
@@ -314,8 +403,22 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
     )
     bound = bound_report(report, schedule.h, target.dim) if schedule.kind == "constant" else None
 
+    method = metrics.resolve_method(config.distance_method, config.chains, config.chains,
+                                    target.dim)
+    if method == "exact-1d":
+        def comparable(cloud):  # sorted once, whatever number of clouds it meets
+            return np.sort(cloud[:, 0])
+
+        pair = metrics.w2_sorted
+    else:
+        def comparable(cloud):
+            return cloud
+
+        def pair(a, b):
+            return metrics.w2_embedded(a, b, method=method).value
+
     trace, d = _checkpoint_distances(entropy, target, schedule, config, config.base_seed,
-                                     ks, distance)
+                                     ks, pair, reference, comparable)
     medians = np.median(d, axis=1)
     iqrs = np.percentile(d, 75, axis=1) - np.percentile(d, 25, axis=1)
     w0_hat = float(medians[ks == 0][0])

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import mmap
 import os
 import signal
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from hrlmc import experiments as exp, target as tgt
 from hrlmc.errors import (InadmissibleRegime, InvalidParameters, MethodUnavailable,
-                          SizeMismatch)
+                          NumericalBreakdown, SizeMismatch)
 from hrlmc.metrics import ASSIGNMENT_MAX_POINTS
 
 
@@ -337,6 +338,93 @@ def test_text_buffered_before_forking_workers_is_written_once(two_workers_within
     lines = capfd.readouterr().out.splitlines()
     assert lines[0] == "before the fork"
     assert sorted(lines[1:]) == [f"task {i}" for i in range(4)]
+
+
+def test_worker_halves_overlap_what_runs_here(two_workers_within_5s):
+    # Every prepare half must finish while meanwhile() still runs (it waits for
+    # them), and every task half must see what meanwhile() wrote.
+    n = 50
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (n + 1)))
+
+    def prepare(i):
+        shared[i] = 1.0
+        return 10 * i
+
+    def meanwhile():
+        while not shared[:n].all():
+            pass
+        shared[n] = 7.0
+
+    def task(i, ready):
+        return ready + shared[n]
+
+    assert exp._map_distance_tasks(task, n, prepare, meanwhile) == [10 * i + 7 for i in range(n)]
+
+
+def test_worker_left_preparing_when_the_chains_raise_is_reaped(two_workers_within_5s,
+                                                                monkeypatch):
+    broke = NumericalBreakdown("the chains broke down")
+
+    def chains(*args, **kwargs):
+        raise broke
+
+    monkeypatch.setattr(exp, "run_parallel_chains", chains)
+    with pytest.raises(NumericalBreakdown) as err:
+        exp.run_convergence_experiment(small_gamma_config())
+    assert err.value is broke
+
+
+def test_worker_error_in_the_reference_half_keeps_its_type(two_workers_within_5s, monkeypatch):
+    # Only the forked worker fails: this process, the last worker, draws its
+    # own references, so the error can reach the test only through the reply.
+    here, draw = os.getpid(), exp._reference_cloud
+
+    def reference(*args):
+        if os.getpid() != here:
+            raise SizeMismatch("no reference cloud in a worker")
+        return draw(*args)
+
+    monkeypatch.setattr(exp, "_reference_cloud", reference)
+    with pytest.raises(SizeMismatch, match="no reference cloud in a worker"):
+        exp.run_convergence_experiment(small_gamma_config())
+
+
+def test_worker_feed_does_not_wait_for_room_in_the_pipe(two_workers_within_5s):
+    # More indices than a 64 KiB pipe holds: those that do not fit are this
+    # process's own, and the feed must not wait for room even when the one
+    # forked worker stops at its first index.
+    def task(i, ready):
+        return ready + 1
+
+    expected = [2 * i + 1 for i in range(20_000)]
+    assert exp._map_distance_tasks(task, 20_000, lambda i: 2 * i, lambda: None) == expected
+    here = os.getpid()
+
+    def prepare(i):
+        if os.getpid() != here:
+            raise SizeMismatch(f"task {i}")
+        return 2 * i
+
+    with pytest.raises(SizeMismatch, match=r"task \d+"):
+        exp._map_distance_tasks(task, 20_000, prepare, lambda: None)
+
+
+def test_convergence_sorts_each_cloud_once(monkeypatch):
+    # One sort per reference cloud and one per checkpoint cloud, not one of
+    # each per task; a serial map runs every task in this process.
+    monkeypatch.setattr(exp, "_usable_cpus", lambda: 1)
+    cfg = small_gamma_config(chains=64)
+    sorted_sizes = []
+    sort = np.sort
+
+    def counted(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counted)
+    exp.run_convergence_experiment(cfg)
+    n_checkpoints = len(cfg.checkpoints)
+    assert sorted_sizes.count(64) == n_checkpoints * cfg.reference_seeds + n_checkpoints
 
 
 @pytest.mark.parametrize("run, overrides, error", [
