@@ -158,7 +158,7 @@ def _cell_tables():
 def _digits17(m, e, x):
     """round-half-even(m * 2**(e - 53) * 10**(16 - x)), exactly, for uint64 m < 2**53."""
     s = 16 - x
-    ph, pl = _POW5_HI[s], _POW5_LO[s]
+    ph, pl = _POW5_HI.take(s), _POW5_LO.take(s)
     # The product m * 5**s = hi * 2**64 + lo from 32-bit halves.
     mh, ml = m >> 32, m & 0xFFFFFFFF
     ll = ml * pl
@@ -176,6 +176,12 @@ def _digits17(m, e, x):
     return np.where(t >= 0, lo << up, q)
 
 
+def _divmod(a, c):
+    """``np.divmod(a, c)`` of non-negative int64 ``a`` by a constant, in fewer passes."""
+    q = a // c
+    return q, a - q * c
+
+
 def _format_17g(values):
     """The ``"%.17g" % v`` cell of each float64 v, as (5, n) ``_WORD`` planes."""
     groups, masks = _cell_tables()
@@ -191,17 +197,19 @@ def _format_17g(values):
     x[slow] = 0
 
     # D = lead * 10**16 + four 4-digit groups.
-    high, low = np.divmod(d.view(np.int64), 10**8)
-    lead, high = np.divmod(high, 10**8)
+    high, low = _divmod(d.view(np.int64), 10**8)
+    lead, high = _divmod(high, 10**8)
     words = np.empty((5, len(d)), dtype=_WORD)
-    for w, g in enumerate((*np.divmod(high, 10**4), *np.divmod(low, 10**4)), start=1):
-        np.take(groups[w - 1], g, out=words[w])
+    for w, g in enumerate((*_divmod(high, 10**4), *_divmod(low, 10**4)), start=1):
+        groups[w - 1].take(g, out=words[w])
     # %g keeps the digits up to the last nonzero one and at least up to X.
     last = np.maximum(np.maximum.reduce(words[1:] >> 56).view(np.int64), x)
     key = (last * 20 + x + 4) * 2 + np.signbit(values)
-    words[1:] &= masks[1:5, key]
-    words[1:] |= masks[5:, key]
-    words[0] = masks[0, key] | (lead.view(np.uint64) + ord("0")) << 48
+    # One 1-d take per table row costs less than a 2-d fancy index.
+    for w in range(1, 5):
+        words[w] &= masks[w].take(key)
+        words[w] |= masks[w + 4].take(key)
+    words[0] = masks[0].take(key) | (lead.view(np.uint64) + ord("0")) << 48
     text = ["%.17g" % v for v in values[slow].tolist()]
     words[:, slow] = np.array(text, dtype=f"S{_CELL}").view(_WORD).reshape(-1, 5).T
     return words
@@ -220,7 +228,10 @@ def _write_trace_csv(fh, trace):
     """
     n_chains, n_records, p = trace.points.shape
     fh.write("chain,step,h," + ",".join(f"x_{j + 1}" for j in range(p)) + "\n")
-    steps = [f"{k},{_fmt(h)}," for k, h in zip(trace.steps.tolist(), trace.step_sizes.tolist())]
+    # One _fmt per distinct step size, told apart by bits: -0.0 == 0.0 as floats.
+    bits, which = np.unique(trace.step_sizes.view(np.uint64), return_inverse=True)
+    h_text = [_fmt(h) for h in bits.view(np.float64).tolist()]
+    steps = [f"{k},{h_text[i]}," for k, i in zip(trace.steps.tolist(), which.tolist())]
     chains = [f"{c}," for c in range(n_chains)]
     wc = len(chains[-1])
     n_prefix = -(-(wc + max(map(len, steps), default=0)) // 8)  # uint64 words per row
@@ -239,8 +250,9 @@ def _write_trace_csv(fh, trace):
         stop = start + len(block)
         for c in range(start // n_records, (stop - 1) // n_records + 1):
             r0, r1 = max(start, c * n_records), min(stop, (c + 1) * n_records)
-            np.bitwise_or(step_words[r0 - c * n_records:r1 - c * n_records], chain_words[c],
-                          out=block[r0 - start:r1 - start, :n_prefix])
+            for w in range(n_prefix):  # 1-d strided passes cost less than one 2-d pass
+                np.bitwise_or(step_words[r0 - c * n_records:r1 - c * n_records, w],
+                              chain_words[c, w], out=block[r0 - start:r1 - start, w])
         words = _format_17g(points[start:stop].ravel()).reshape(5, len(block), p)
         words[4] |= separators
         cells = block[:, n_prefix:].reshape(len(block), p, 5)

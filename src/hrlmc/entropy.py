@@ -53,13 +53,17 @@ class Entropy:
 
     def contains(self, x) -> np.ndarray:
         """Boolean mask of points strictly interior (guard band excluded)."""
-        x = self._as_points(x)
+        return self._contains_unchecked(self._as_points(x))
+
+    def _contains_unchecked(self, x) -> np.ndarray:
+        """``contains`` of a float array of points, taken as valid."""
         ok = np.isfinite(x)
         if self._lower is not None:
             ok &= x >= self._lower
         if self._upper is not None:
             ok &= x <= self._upper
-        return ok.all(axis=-1)
+        # A one-column mask is its own row test, and the reduction costs more than the checks.
+        return ok[:, 0] if ok.shape[1:] == (1,) else ok.all(axis=-1)
 
     def dual_contains(self, y) -> np.ndarray:
         """Boolean mask of dual points inside the image of the mirror map."""

@@ -32,10 +32,12 @@ is recomputed per step.  sqrt(2 h) comes from ``math.sqrt`` (correctly
 rounded, as ``np.sqrt`` is) once per distinct h: once per run for a constant
 schedule, once per step for a harmonic one, once per halving on retries.
 The maps keep their own constants from construction (``MixedEntropy``'s
-column indices and ``log((1-a)/a)``, ``gamma_target``'s ``1 - a``).  Every
-proposal, first or retried, is accepted by one predicate, ``entropy.contains``
-of its inverse (``_try_invert``); a step whose first proposals are all
-accepted allocates no rejection vector.
+column indices and ``log((1-a)/a)``, ``gamma_target``'s ``1 - a``); the loop
+calls the target gradient and the metric unchecked, as every x it holds
+passed the domain check.  A step forms its first proposals inline and sends
+only rejected rows to ``_retry_rows``.  Every proposal is accepted by one
+predicate, ``entropy._contains_unchecked`` of its inverse (``_try_invert``),
+which ``contains`` applies after validating its input.
 
 Boundary policy: a proposed y' whose x' = grad_phi_conjugate(y') leaves
 the guarded domain (non-finite, or inside the guard band) is rejected and
@@ -232,6 +234,7 @@ def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_e
     # Drawing a stream in several calls yields the same numbers as one call,
     # so the chunk length changes memory use but not the trajectories.
     steps_per_chunk = max(1, min(_NOISE_CHUNK, _NOISE_BYTES // (8 * n_chains * p)))
+    grad_f, sqrt_metric = target._grad, entropy._hessian_sqrt_diag_unchecked
     h_root = root = None  # the step size whose sqrt(2 h) is ``root``
     k = 0
     while k < n_steps:
@@ -242,13 +245,15 @@ def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_e
             h = schedule.h_at(k + 1)
             if h != h_root:
                 h_root, root = h, math.sqrt(2.0 * h)
-            gf = target.grad(X)
-            # X passed a domain check: the x0 check or the acceptance test
-            # in _try_invert.
-            sq = entropy._hessian_sqrt_diag_unchecked(X)
-            Y, X, rej = _advance_rows(entropy, Y, gf, sq, h, root, noise[:, j, :], retry)
-            if rej is not None:
-                rejections += rej
+            # X is a float array that passed a domain check: the x0 check or
+            # the acceptance test in _try_invert.
+            gf = grad_f(X)
+            sq = sqrt_metric(X)
+            y_new = Y - h * gf + root * (sq * noise[:, j, :])  # _propose's expression
+            ok, x_new = _try_invert(entropy, y_new)
+            if np.count_nonzero(ok) < n_chains:
+                _retry_rows(entropy, Y, gf, sq, h, ok, y_new, x_new, retry, rejections)
+            Y, X = y_new, x_new
             k += 1
             if rec_pos < len(record_ks) and record_ks[rec_pos] == k:
                 rec_points[:, rec_pos, :] = X
@@ -375,29 +380,22 @@ def _try_invert(entropy, y_new):
     every y outside the dual image inverts to a point outside the domain, so
     no dual check is needed.  Every map is elementwise, so inverting the
     rejected rows too leaves the accepted ones bit-identical to inverting
-    them alone.
+    them alone.  Only the inversion runs under ``errstate``: an overflow in
+    forming a proposal still warns.
     """
     with np.errstate(all="ignore"):
         x_new = entropy._grad_conjugate_unchecked(y_new)
-    return entropy.contains(x_new), x_new
+    return entropy._contains_unchecked(x_new), x_new
 
 
-def _advance_rows(entropy, Y, gf, sq, h, root, xi, retry):
-    """One step for every row with the rejection/step-halving policy.
+def _retry_rows(entropy, Y, gf, sq, h, ok, y_new, x_new, retry, rejections):
+    """Redraw the rows ``ok`` rejects into ``y_new`` and ``x_new``, counting into ``rejections``.
 
-    Returns (Y', X', failed proposals per row), the last None when every
-    first proposal was accepted.
+    Each try proposes for all still-rejected rows at once; every row draws
+    from its own retry stream.  Those rows have all failed the same number
+    of tries, so one step size serves the round: MAX_RETRIES tries at h,
+    then MAX_RETRIES at each halving (x0.5 is exact).
     """
-    y_new = _propose(Y, gf, sq, h, root, xi)
-    ok, x_new = _try_invert(entropy, y_new)
-    if np.count_nonzero(ok) == ok.size:
-        return y_new, x_new, None
-
-    # Each try proposes for all still-rejected rows at once; every row draws
-    # from its own retry stream.  Those rows have all failed the same number
-    # of tries, so one step size serves the round: MAX_RETRIES tries at h,
-    # then MAX_RETRIES at each halving (x0.5 is exact).
-    rejections = np.zeros(Y.shape[0], dtype=np.int64)
     bad = np.flatnonzero(~ok)
     for t in range(MAX_RETRIES * (MAX_HALVINGS + 1)):
         rejections[bad] += 1
@@ -412,7 +410,7 @@ def _advance_rows(entropy, Y, gf, sq, h, root, xi, retry):
         x_new[good] = x_b[ok_b]
         bad = bad[~ok_b]
         if bad.size == 0:
-            return y_new, x_new, rejections
+            return
     raise NumericalBreakdown(
         f"chain row {bad[0]}: no admissible step after {MAX_HALVINGS} halvings"
     )

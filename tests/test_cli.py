@@ -126,6 +126,19 @@ def test_sample_csv_writer_on_extreme_values(n_recorded, monkeypatch):
         assert fh.getvalue() == "chain,step,h,x_1,x_2,x_3\n"
 
 
+def test_sample_csv_formats_each_step_size_bit_pattern():
+    # The writer formats each distinct step size once.  Its memo keys on the
+    # bits: a float key would write -0.0 as 0, since -0.0 == 0.0.
+    step_sizes = np.array([0.0, 0.05, -0.0, 0.05, np.nan, 0.0, -0.0, np.nan, 0.1, -np.nan])
+    n = len(step_sizes)
+    trace = Trace(np.linspace(0.5, 2.0, 4 * n).reshape(2, n, 2), np.arange(n) * 2, step_sizes,
+                  np.zeros(2, dtype=np.int64))
+    fh = io.StringIO()
+    cli._write_trace_csv(fh, trace)
+    assert fh.getvalue() == _per_value_csv(trace, 2)
+    assert fh.getvalue().count(",-0,") == 4
+
+
 def test_percent_g_matches_format():
     rng = np.random.default_rng(0)
     values = [struct.unpack("<d", rng.bytes(8))[0] for _ in range(20_000)]

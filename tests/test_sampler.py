@@ -82,8 +82,12 @@ def test_step_keeps_dual_cache_consistent():
     x = np.array([[2.0]])
     y = e.grad(x)
     for _ in range(20):
-        y, x, _ = smp._advance_rows(e, y, t.grad(x), e.hessian_sqrt_diag(x), 0.05,
-                                    math.sqrt(2.0 * 0.05), rng.standard_normal((1, 1)), retry)
+        gf, sq = t.grad(x), e.hessian_sqrt_diag(x)
+        y_new = smp._propose(y, gf, sq, 0.05, math.sqrt(2.0 * 0.05), rng.standard_normal((1, 1)))
+        ok, x = smp._try_invert(e, y_new)
+        if not ok.all():
+            smp._retry_rows(e, y, gf, sq, 0.05, ok, y_new, x, retry, np.zeros(1, dtype=np.int64))
+        y = y_new
         assert np.linalg.norm(y - e.grad(x)) <= 1e-10 * (1.0 + np.linalg.norm(y))
 
 
@@ -124,6 +128,31 @@ def test_try_invert_masks_rows_as_if_inverted_alone(e):
     assert ok[:len(interior)].all()
     assert not ok[~np.isfinite(y).all(axis=1)].any()
     assert not ok[len(interior):].all()
+
+
+@pytest.mark.parametrize("e", [*ent.register_table1_entropies(dim=2), ent.boltzmann_shannon(2),
+                               ent.burg(2).scaled(2.5), ent.logit_barrier(2).scaled(0.5),
+                               ent.burg(2).scaled(1e-300), ent.burg(2).scaled(1e300),
+                               ent.mixed([0.0, 0.7]).scaled(1e10)],
+                         ids=lambda e: e.name)
+def test_contains_unchecked_matches_contains(e):
+    # The kernel's acceptance test skips contains's validation.  On the rows
+    # of test_try_invert_masks_rows_as_if_inverted_alone, read as points and
+    # inverted, and on points at the guard bands, the two agree.
+    rng = np.random.default_rng(0)
+    interior = e.grad(e.sample_interior(rng, 6))
+    edge = [5e-324, 1e-300, 1e-12, 0.0, 0.5, 40.0, 800.0, 3e5, 1e13, 1e300, math.inf, math.nan]
+    edge += [-v for v in edge]
+    y = np.concatenate([interior] + [[[v, interior[0, 1]], [interior[1, 0], v], [v, v]]
+                                     for v in edge])
+    with np.errstate(all="ignore"):
+        x = e._grad_conjugate_unchecked(y)
+    guard = ent.BOUNDARY_GUARD
+    bands = np.array([guard, np.nextafter(guard, 0), 1 - guard, np.nextafter(1 - guard, 2)])
+    for points in (y, x, x[0], np.stack([bands, np.full(4, 0.5)], axis=1)):
+        np.testing.assert_array_equal(e._contains_unchecked(points), e.contains(points))
+    with pytest.raises(DomainViolation):
+        e.contains(np.ones((3, e.dim + 1)))
 
 
 # --------------------------------------------------------------- schedules
@@ -491,6 +520,21 @@ def test_trajectory_is_pinned(entropy, target, schedule, x0, seed, n_rejections,
                                     override_gate=True)
     assert trace.rejections.sum() == n_rejections
     assert hashlib.sha256(trace.points.tobytes() + trace.rejections.tobytes()).hexdigest() == digest
+
+
+def test_divergent_run_warns_outside_the_inversion():
+    # Only the inversion runs under errstate: a Euclidean chain pushed past
+    # float range overflows in forming its proposals, and that still warns.
+    # The run's points and rejections are pinned from before the kernel's
+    # first proposal moved inline.
+    e, t = ent.euclidean(1), tgt.parse_target("gaussian:A=1")
+    with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+        trace = smp.run_parallel_chains(e, t, smp.constant_schedule(2.5), [1e300], 60, 0, 4,
+                                        override_gate=True)
+    assert trace.rejections.tolist() == [204] * 4
+    assert hashlib.sha256(trace.points.tobytes() + trace.rejections.tobytes()).hexdigest() == (
+        "f691c3fdba032987d77c523a2b6217beffa26cd97e8ac911e8197d2999bd8d5a"
+    )
 
 
 def test_exhausted_retries_raise_numerical_breakdown(monkeypatch):
