@@ -177,7 +177,7 @@ def _digits17(m, e, x):
 
 
 def _divmod(a, c):
-    """``np.divmod(a, c)`` of non-negative int64 ``a`` by a constant, in fewer passes."""
+    """``np.divmod(a, c)`` of non-negative int64 ``a``; numpy's ``a // c`` is the fast part."""
     q = a // c
     return q, a - q * c
 
