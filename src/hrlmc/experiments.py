@@ -16,20 +16,19 @@ sqrt(max(median d^2(chain, exact) - median d^2(exact, exact'), 0)).
 
 Both experiments share one path (``_checkpoint_distances``): one distance
 task per (checkpoint, reference seed) pair; the tasks are independent and
-pure.  Whatever the estimator, the tasks run in worker processes forked for
-the call, up to one per usable CPU, which take task indices from one pipe;
-each result returns to its own slot, so the output does not depend on the
-number of workers.  The workers are forked before the chains run.  This
-process runs the chains, pushes each checkpoint cloud through the mirror map
-once and copies it into an anonymous shared ``mmap`` made before the fork,
-where every worker reads it.  The sweep's workers take an index at a time
-once the clouds are written.  The convergence trace splits each task in two
-phases.  While the chains run, one worker fewer than usable CPUs draws and
-embeds the reference clouds of the indices it reads (and, for exact-1d,
-sorts them).  Once the clouds are written, each worker sorts each chain
-cloud it needs once and compares it with its prepared references, and this
-process joins them as the last worker, running both phases on the indices
-left.
+pure.  Each task has two halves.  The first does all that does not depend on
+the chains: it draws and embeds the reference clouds, and sorts them for
+exact-1d or solves the sweep's same-law baseline.  The second compares the
+result with the chain cloud.  Whatever the estimator, the tasks run in
+worker processes forked for the call, one fewer than usable CPUs, which take
+task indices from one pipe; each result returns to its own slot, so the
+output does not depend on the number of workers.  The workers are forked
+before the chains run and run the first half of each index they read while
+this process runs the chains, pushes each checkpoint cloud through the
+mirror map once and copies it into an anonymous shared ``mmap`` made before
+the fork.  Once the clouds are written this process closes a second pipe.
+Each worker then runs the second halves it has put off and both halves of
+each later index, and this process joins them as the last worker.
 
 Every experiment is a pure function of its config; re-running writes
 byte-identical CSV output (floats serialized with 17 significant digits).
@@ -77,7 +76,8 @@ class ExperimentConfig:
 
     ``x0`` holds either one coordinate broadcast to every chain or a full
     starting point; left empty, the chains start at the entropy's interior
-    point.  ``checkpoints`` must include 0 so the initial distance can anchor
+    point.  ``checkpoints`` lie in [0, ``steps``]; repeats count once.  A
+    convergence trace needs 0 among them, so the initial distance can anchor
     the bound curve.  ``chains``, ``reference_seeds``, ``assumption_pairs``
     and ``plateau_window`` must be at least 1.
     """
@@ -143,25 +143,34 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _serve(task, prepare, indices, feed, reply):
-    """A forked worker: run ``task`` on each index read from ``indices`` until
-    EOF, send one pickle of the ``(index, result)`` pairs, or of the first
-    exception and its traceback, on ``reply``, and exit.
+def _serve(task, prepare, indices, ready, ready_w, reply):
+    """A forked worker: run both halves of the task of each index read from
+    ``indices`` until EOF, send one pickle of the ``(index, result)`` pairs,
+    or of the first exception and its traceback, on ``reply``, and exit.
 
-    With ``prepare``, run ``prepare(i)`` on each index as it is read and
-    ``task(i, prepare(i))`` on them all after EOF.  ``feed`` is this process's
-    copy of the write end of ``indices``; it is closed first, or the worker
-    would never see EOF.
+    ``prepare(i)`` runs on each index as it is read; ``task(i, prepare(i))``
+    waits for EOF on ``ready``, which is checked without blocking after each
+    ``prepare`` and waited for at EOF on ``indices``.  From then on each
+    index's task runs right after its ``prepare``.  ``ready_w`` is this
+    process's copy of the write end of ``ready``; it is closed first, or the
+    worker would never see EOF.
     """
     try:
-        os.close(feed)
+        os.close(ready_w)
         try:
-            done = []
+            import select
+
+            closed = select.poll()  # nothing is written to ``ready``: it polls readable at EOF
+            closed.register(ready, select.POLLIN)
+            prepared, done = [], []
             while index := os.read(indices, 4):
                 i = int.from_bytes(index, "little")
-                done.append((i, task(i) if prepare is None else prepare(i)))
-            if prepare is not None:
-                done = [(i, task(i, ready)) for i, ready in done]
+                prepared.append((i, prepare(i)))
+                if closed.poll(0):
+                    done += [(i, task(i, value)) for i, value in prepared]
+                    prepared = []
+            closed.poll()
+            done += [(i, task(i, value)) for i, value in prepared]
             payload = pickle.dumps(done)
         except BaseException as exc:
             import traceback
@@ -174,25 +183,24 @@ def _serve(task, prepare, indices, feed, reply):
         os._exit(1)
 
 
-def _map_distance_tasks(task, n_tasks, prepare=None, meanwhile=None):
-    """``[task(i) for i in range(n_tasks)]`` over forked worker processes, after ``meanwhile()``.
+def _map_distance_tasks(task, n_tasks, prepare, meanwhile):
+    """``meanwhile()``, then ``[task(i, prepare(i)) for i in range(n_tasks)]``,
+    with the ``prepare`` halves run in forked workers alongside ``meanwhile()``.
 
-    Up to one worker per usable CPU is forked first, so each inherits ``task``
-    (its clouds and targets do not pickle) and the solver modules that
-    ``metrics.resolve_method`` imports.  This process then runs ``meanwhile()``,
-    writes each task index to one pipe as its own 4-byte write, which is
-    atomic, and closes it; each worker reads indices until EOF, so a worker
-    that draws cheap tasks takes more of them.
-
-    With ``prepare`` the map has two halves, and ``task`` takes the result of
-    the first: ``task(i, prepare(i))``.  One worker fewer is forked, and the
-    indices go into the pipe before ``meanwhile()``, as many as it holds, so
-    the workers run ``prepare`` on the indices they read while this process
-    runs ``meanwhile()``; the pipe is closed after it, and each worker runs
-    ``task`` on its indices at EOF.  This process then takes the last worker's
-    place: it runs both halves on the indices that did not fit in the pipe
-    and on those it reads from the pipe alongside the workers.  Without
-    workers, ``meanwhile()`` runs first and then each task's halves in turn.
+    As many task indices as one pipe holds are written to it, each as its own
+    4-byte write, which is atomic, and the pipe is closed.  One worker fewer
+    than usable CPUs is then forked, so each inherits ``task`` and ``prepare``
+    (their clouds and targets do not pickle) and the solver modules that
+    ``metrics.resolve_method`` imports.  Each worker runs ``prepare`` on the
+    indices it reads while this process runs ``meanwhile()`` and then closes a
+    second pipe, ``ready``: from then on a worker runs the ``task`` halves it
+    has put off and both halves of each later index.  The close orders what
+    ``meanwhile()`` wrote to shared memory before the workers' reads, which a
+    flag in that memory would not do on every platform.  This process then
+    joins as the last worker: it runs both halves on the indices that did not
+    fit in the pipe and on those it reads from it, so a worker that draws
+    cheap tasks takes more of them.  With one usable CPU or no ``fork``,
+    ``meanwhile()`` runs first and then each task's halves in turn.
 
     A worker returns its ``(index, result)`` pairs as one pickle on a pipe of
     its own and each result goes back to its own slot, so the output does not
@@ -204,57 +212,45 @@ def _map_distance_tasks(task, n_tasks, prepare=None, meanwhile=None):
     """
     workers = min(_usable_cpus(), n_tasks)
     if workers < 2 or not hasattr(os, "fork"):
-        if meanwhile is not None:
-            meanwhile()
-        if prepare is None:
-            return [task(i) for i in range(n_tasks)]
+        meanwhile()
         return [task(i, prepare(i)) for i in range(n_tasks)]
     # A child must not inherit, and later write out again, buffered text.
     sys.stdout.flush()
     sys.stderr.flush()
     pids, replies = [], []
     indices_r, indices_w = os.pipe()
+    ready_r, ready_w = os.pipe()
     results = [None] * n_tasks
-    with open(indices_r, "rb", 0) as indices_in, open(indices_w, "wb", 0) as indices_out:
+    with (open(indices_r, "rb", 0) as indices_in, open(indices_w, "wb", 0) as indices_out,
+          open(ready_r, "rb", 0), open(ready_w, "wb", 0) as ready_out):
         try:
-            # With prepare, this process is the last worker once meanwhile() returns.
-            for _ in range(workers if prepare is None else workers - 1):
+            # This process reads the pipe too, once meanwhile() returns, so a write
+            # that waits for room could wait forever; the indices that do not fit
+            # are its own.
+            os.set_blocking(indices_w, False)
+            fed = 0
+            try:
+                while fed < n_tasks:
+                    os.write(indices_w, fed.to_bytes(4, "little"))
+                    fed += 1
+            except BlockingIOError:
+                pass
+            indices_out.close()
+            for _ in range(workers - 1):
                 reply_r, reply_w = os.pipe()
                 pid = os.fork()
                 if pid == 0:
-                    _serve(task, prepare, indices_r, indices_w, reply_w)
+                    _serve(task, prepare, indices_r, ready_r, ready_w, reply_w)
                 pids.append(pid)
                 os.close(reply_w)
                 replies.append(open(reply_r, "rb"))
-            if prepare is None:
-                indices_in.close()  # so a write fails once every worker has stopped reading
-                if meanwhile is not None:
-                    meanwhile()
-                try:
-                    for i in range(n_tasks):
-                        os.write(indices_w, i.to_bytes(4, "little"))
-                except BrokenPipeError:  # every worker has stopped; their replies say why
-                    pass
-                indices_out.close()
-            else:
-                # This process reads the pipe too, so a write that waits for room
-                # could wait forever; the indices that do not fit are its own.
-                os.set_blocking(indices_w, False)
-                fed = 0
-                try:
-                    while fed < n_tasks:
-                        os.write(indices_w, fed.to_bytes(4, "little"))
-                        fed += 1
-                except BlockingIOError:
-                    pass
-                if meanwhile is not None:
-                    meanwhile()
-                indices_out.close()
-                for i in range(fed, n_tasks):
-                    results[i] = task(i, prepare(i))
-                while index := indices_in.read(4):
-                    i = int.from_bytes(index, "little")
-                    results[i] = task(i, prepare(i))
+            meanwhile()
+            ready_out.close()
+            for i in range(fed, n_tasks):
+                results[i] = task(i, prepare(i))
+            while index := indices_in.read(4):
+                i = int.from_bytes(index, "little")
+                results[i] = task(i, prepare(i))
             for pid, reply in zip(pids, replies):
                 with reply:
                     payload = reply.read()
@@ -278,36 +274,31 @@ def _map_distance_tasks(task, n_tasks, prepare=None, meanwhile=None):
                 os.waitpid(pid, 0)
 
 
-def _embed_checkpoints(entropy, trace, checkpoints, out):
-    """Write the chain cloud recorded at step ``checkpoints[j]``, pushed through the
-    mirror map, to ``out[j]``.
+def _checkpoint_steps(config):
+    """The distinct checkpoints of ``config``, sorted; each must lie in [0, ``steps``].
 
-    Every distance task of a checkpoint compares its cloud with this one embedding.
+    Both experiments check them here, before any constant is estimated or any
+    chain runs.
     """
-    # Look records up by step, never index by k: a negative k would wrap.
-    index = {int(k): i for i, k in enumerate(trace.steps)}
-    for j, k in enumerate(checkpoints):
-        if int(k) not in index:
-            raise InvalidParameters(f"checkpoint {k} was not recorded")
-        out[j] = metrics.mirror_embed(entropy, trace.points[:, index[int(k)]])
+    ks = np.unique(np.asarray(config.checkpoints, dtype=int))
+    if ks.size and (ks[0] < 0 or ks[-1] > config.steps):
+        raise InvalidParameters(f"checkpoints must lie in [0, {config.steps}], "
+                                f"got {ks[0] if ks[0] < 0 else ks[-1]}")
+    return ks
 
 
-def _checkpoint_distances(entropy, target, schedule, config, seed, ks, pair, reference=None,
-                          comparable=None):
+def _checkpoint_distances(entropy, target, schedule, config, seed, ks, reference, comparable,
+                          pair):
     """Run the configured chains from ``seed`` and map the distance tasks over their clouds.
 
-    Task (j, rep) compares the chain cloud recorded at step ``ks[j]``, pushed
-    through the mirror map, with reference seed ``rep``.  The distance workers
-    are forked before the chains run; this process then runs the chains and
-    writes the embedded checkpoint clouds to a shared buffer, which the
-    workers read.  Without ``reference``, the task is ``pair(cloud, ks[j],
-    rep)``, run once the buffer is written.  With it, the task has two halves.
-    The workers draw ``reference(ks[j], rep)``, an embedded cloud that does not
-    depend on the chains, while the chains run; then the task is
-    ``pair(comparable(cloud), comparable(ref))``, and each process applies
-    ``comparable`` to each chain cloud it compares only once.  Returns the
-    trace and the results stacked to shape ``(len(ks), config.reference_seeds,
-    ...)``.
+    Task (j, rep) is ``pair(comparable(cloud), reference(ks[j], rep))``, where
+    ``cloud`` is the chain cloud recorded at step ``ks[j]``, pushed through
+    the mirror map.  ``reference`` does not depend on the chains: the
+    distance workers, forked before the chains run, call it while this
+    process runs the chains and writes the embedded checkpoint clouds to a
+    shared buffer, which they then read.  Each process applies ``comparable``
+    once to each chain cloud it compares.  Returns the trace and the results
+    stacked to shape ``(len(ks), config.reference_seeds, ...)``.
     """
     metrics.resolve_method(config.distance_method, config.chains, config.chains, target.dim)
     reps = config.reference_seeds
@@ -315,6 +306,8 @@ def _checkpoint_distances(entropy, target, schedule, config, seed, ks, pair, ref
     shape = (len(ks), config.chains, target.dim)
     check_allocation(8 * math.prod(shape), "holding the checkpoint clouds",
                      "use fewer chains or checkpoints")
+    check_allocation(8 * n_tasks * config.chains * target.dim, "holding the reference clouds",
+                     "use fewer chains, checkpoints or reference seeds")
     # Anonymous shared memory: what this process writes to it after the fork,
     # the workers read.
     clouds = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
@@ -324,27 +317,21 @@ def _checkpoint_distances(entropy, target, schedule, config, seed, ks, pair, ref
         nonlocal trace
         trace = run_parallel_chains(entropy, target, schedule, config.x0 or None, config.steps,
                                     seed, config.chains)
-        _embed_checkpoints(entropy, trace, ks, clouds)
+        # Step k is record k: the chains record every step, and the
+        # checkpoints were checked to lie in [0, steps].
+        for j, k in enumerate(ks):
+            clouds[j] = metrics.mirror_embed(entropy, trace.points[:, k])
 
-    if reference is None:
-        prepare = None
+    chain_clouds = {}  # filled in each process, one entry per checkpoint it compares
 
-        def task(i):
-            return pair(clouds[i // reps], int(ks[i // reps]), i % reps)
-    else:
-        check_allocation(8 * n_tasks * config.chains * target.dim,
-                         "holding the reference clouds",
-                         "use fewer chains, checkpoints or reference seeds")
-        chain_clouds = {}  # filled in each process, one entry per checkpoint it compares
+    def prepare(i):
+        return reference(int(ks[i // reps]), i % reps)
 
-        def prepare(i):
-            return comparable(reference(int(ks[i // reps]), i % reps))
-
-        def task(i, ref):
-            j = i // reps
-            if j not in chain_clouds:
-                chain_clouds[j] = comparable(clouds[j])
-            return pair(chain_clouds[j], ref)
+    def task(i, ref):
+        j = i // reps
+        if j not in chain_clouds:
+            chain_clouds[j] = comparable(clouds[j])
+        return pair(chain_clouds[j], ref)
 
     values = np.array(_map_distance_tasks(task, n_tasks, prepare, run_chains))
     return trace, values.reshape(len(ks), reps, *values.shape[1:])
@@ -388,13 +375,9 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
     target = parse_target(config.target)
     entropy = parse_entropy(config.entropy, dim=target.dim)
     schedule = parse_schedule(config.schedule)
-    if not config.checkpoints or min(config.checkpoints) != 0:
+    ks = _checkpoint_steps(config)
+    if not ks.size or ks[0] != 0:
         raise InvalidParameters("checkpoints must be nonempty and include 0")
-    ks = np.unique(np.asarray(config.checkpoints, dtype=int))
-
-    def reference(k, rep):
-        ref = _reference_cloud(target, config.chains, config.base_seed, 7733, k, rep)
-        return metrics.mirror_embed(entropy, ref)
 
     # The report and the bound come first, so an inadmissible regime or a step
     # outside the window fails before any chain runs.
@@ -417,8 +400,12 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
         def pair(a, b):
             return metrics.w2_embedded(a, b, method=method).value
 
+    def reference(k, rep):
+        ref = _reference_cloud(target, config.chains, config.base_seed, 7733, k, rep)
+        return comparable(metrics.mirror_embed(entropy, ref))
+
     trace, d = _checkpoint_distances(entropy, target, schedule, config, config.base_seed,
-                                     ks, pair, reference, comparable)
+                                     ks, reference, comparable, pair)
     medians = np.median(d, axis=1)
     iqrs = np.percentile(d, 75, axis=1) - np.percentile(d, 25, axis=1)
     w0_hat = float(medians[ks == 0][0])
@@ -489,11 +476,11 @@ def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
     for p in dims:
         metrics.resolve_method(config.distance_method, config.chains, config.chains, p)
     schedule = parse_schedule(config.schedule)
-    n_checkpoints = len(config.checkpoints)
-    if config.plateau_window > n_checkpoints:
-        raise InvalidParameters(f"plateau_window must be at most the {n_checkpoints} "
+    ks = _checkpoint_steps(config)
+    if config.plateau_window > ks.size:
+        raise InvalidParameters(f"plateau_window must be at most the {ks.size} "
                                 f"checkpoint(s), got {config.plateau_window}")
-    plateau_ks = sorted(config.checkpoints)[-config.plateau_window:]
+    plateau_ks = ks[-config.plateau_window:]
 
     plateaus = np.empty(len(dims))
     raws = np.empty(len(dims))
@@ -502,17 +489,21 @@ def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
         target = gamma_target(np.repeat(template.a, p), np.repeat(template.b, p))
         entropy = parse_entropy(config.entropy, dim=p)
 
-        def squared_distances(cloud, k, rep):
-            ref = _reference_cloud(target, config.chains, config.base_seed, 7741 + p, k, rep)
-            d = metrics.w2_embedded(cloud, metrics.mirror_embed(entropy, ref),
-                                    method=config.distance_method)
-            ref_b = _reference_cloud(target, config.chains, config.base_seed, 8641 + p, k, rep)
-            ref_c = _reference_cloud(target, config.chains, config.base_seed, 8647 + p, k, rep)
+        def reference(k, rep):
+            """The embedded reference cloud and the same-law baseline d0**2."""
+            ref, ref_b, ref_c = (_reference_cloud(target, config.chains, config.base_seed,
+                                                  tag + p, k, rep) for tag in (7741, 8641, 8647))
             d0 = metrics.w2phi(entropy, ref_b, ref_c, method=config.distance_method)
-            return d.value**2, d0.value**2
+            return metrics.mirror_embed(entropy, ref), d0.value**2
+
+        def squared_distances(cloud, prepared):
+            ref, base = prepared
+            d = metrics.w2_embedded(cloud, ref, method=config.distance_method)
+            return d.value**2, base
 
         _, sq = _checkpoint_distances(entropy, target, schedule, config,
-                                      config.base_seed + 101 * p, plateau_ks, squared_distances)
+                                      config.base_seed + 101 * p, plateau_ks, reference,
+                                      lambda cloud: cloud, squared_distances)
         # Median of per-checkpoint medians: a chain ensemble occasionally
         # carries a deep-tail excursion that inflates every distance sharing
         # that snapshot, so checkpoints form contamination blocks.

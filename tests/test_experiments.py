@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import math
 import mmap
 import os
@@ -165,7 +166,7 @@ def test_sweep_needs_gamma_template():
 def test_sweep_rejects_unrecorded_plateau_checkpoint(checkpoints):
     # A negative checkpoint must not wrap around to the last record.
     cfg = small_gamma_config(chains=16, checkpoints=checkpoints, plateau_window=2)
-    with pytest.raises(InvalidParameters, match="was not recorded"):
+    with pytest.raises(InvalidParameters, match=r"checkpoints must lie in \[0, 60\]"):
         exp.run_dimension_sweep(cfg, dims=[1])
 
 
@@ -233,13 +234,18 @@ def test_sweep_per_dimension_entries_are_independent():
 # ------------------------------------------------------------------ fan-out
 
 
-def _sweep_csv():
+def _sweep_csv(checkpoints=(30, 40)):
     cfg = exp.ExperimentConfig(
         entropy="burg", target="gamma:a=5;b=1", schedule="constant:h=0.2",
-        steps=40, chains=64, x0=(1.0,), checkpoints=(30, 40),
+        steps=40, chains=64, x0=(1.0,), checkpoints=checkpoints,
         base_seed=3, reference_seeds=4, plateau_window=2,
     )
     return exp.run_dimension_sweep(cfg, dims=[1, 2]).to_csv()
+
+
+def test_sweep_counts_a_repeated_checkpoint_once():
+    # The plateau window spans distinct checkpoints, as the convergence trace does.
+    assert _sweep_csv(checkpoints=(30, 40, 40)) == _sweep_csv()
 
 
 def _convergence_csv(**overrides):
@@ -272,16 +278,21 @@ def test_worker_error_keeps_its_type(monkeypatch):
         exp.run_convergence_experiment(cfg)
 
 
-def test_worker_error_keeps_its_type_across_the_process_boundary(monkeypatch):
-    monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)
+def _all_read_by_the_forked_worker(n):
+    """``prepare`` and ``meanwhile`` for a map of ``n`` tasks on two CPUs:
+    ``meanwhile()`` returns once the one forked worker has read and prepared
+    every index, so every task runs there."""
+    prepared = np.frombuffer(mmap.mmap(-1, 8 * n))
 
-    def task(i):
-        if i == 1:
-            raise SizeMismatch("task 1")
+    def prepare(i):
+        prepared[i] = 1.0
         return i
 
-    with pytest.raises(SizeMismatch, match="task 1"):
-        exp._map_distance_tasks(task, 2)
+    def meanwhile():
+        while not prepared.all():
+            pass
+
+    return prepare, meanwhile
 
 
 @pytest.fixture
@@ -303,24 +314,35 @@ def two_workers_within_5s(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_worker_error_keeps_its_type_across_the_process_boundary(two_workers_within_5s):
+    def task(i, ready):
+        if i == 1:
+            raise SizeMismatch("task 1")
+        return i
+
+    with pytest.raises(SizeMismatch, match="task 1"):
+        exp._map_distance_tasks(task, 2, *_all_read_by_the_forked_worker(2))
+
+
 def test_worker_that_exits_without_a_reply_raises_its_status(two_workers_within_5s):
-    def task(i):
+    def task(i, ready):
         if i == 1:
             os._exit(3)
         return i
 
     with pytest.raises(RuntimeError, match="status 3"):
-        exp._map_distance_tasks(task, 4)
+        exp._map_distance_tasks(task, 4, *_all_read_by_the_forked_worker(4))
 
 
 def test_workers_that_all_fail_stop_the_feed(two_workers_within_5s):
-    # More indices than a 64 KiB pipe holds: the feed must notice that no
-    # worker reads any more instead of blocking on a full pipe.
-    def task(i):
+    # More indices than a 64 KiB pipe holds, and every task fails, this
+    # process's too: the map must end instead of waiting on a full pipe or on
+    # a worker.
+    def task(i, ready):
         raise SizeMismatch(f"task {i}")
 
     with pytest.raises(SizeMismatch):
-        exp._map_distance_tasks(task, 20_000)
+        exp._map_distance_tasks(task, 20_000, lambda i: i, lambda: None)
 
 
 def test_text_buffered_before_forking_workers_is_written_once(two_workers_within_5s,
@@ -330,11 +352,11 @@ def test_text_buffered_before_forking_workers_is_written_once(two_workers_within
         monkeypatch.setattr(sys, "stdout", out)
         print("before the fork")
 
-        def task(i):
+        def task(i, ready):
             print(f"task {i}", flush=True)
             return i
 
-        assert exp._map_distance_tasks(task, 4) == [0, 1, 2, 3]
+        assert exp._map_distance_tasks(task, 4, *_all_read_by_the_forked_worker(4)) == [0, 1, 2, 3]
     lines = capfd.readouterr().out.splitlines()
     assert lines[0] == "before the fork"
     assert sorted(lines[1:]) == [f"task {i}" for i in range(4)]
@@ -359,6 +381,39 @@ def test_worker_halves_overlap_what_runs_here(two_workers_within_5s):
         return ready + shared[n]
 
     assert exp._map_distance_tasks(task, n, prepare, meanwhile) == [10 * i + 7 for i in range(n)]
+
+
+def test_worker_runs_each_task_half_right_after_its_prepare_once_ready(two_workers_within_5s):
+    # The forked worker reads index 0 while meanwhile() runs and holds it until
+    # this process, the last worker, has read index 1; the worker then reads 2
+    # and 3.  Each half returns a count of the halves run before it in its
+    # process, so a task half run right after its prepare half counts one more.
+    here = os.getpid()
+    flags = np.frombuffer(mmap.mmap(-1, 24))  # worker holds 0, index 1 read here, worker prepares
+    events = itertools.count()
+
+    def prepare(i):
+        if os.getpid() == here:
+            flags[1] = 1.0
+            while flags[2] < 3:
+                pass
+        else:
+            flags[0] = 1.0
+            while not flags[1]:
+                pass
+            flags[2] += 1
+        return next(events)
+
+    def meanwhile():
+        while not flags[0]:
+            pass
+
+    def task(i, ready):
+        return ready, next(events), os.getpid() != here
+
+    done = exp._map_distance_tasks(task, 4, prepare, meanwhile)
+    assert [in_worker for *_, in_worker in done] == [True, False, True, True]
+    assert [task_event - prepare_event for prepare_event, task_event, _ in done] == [1] * 4
 
 
 def test_worker_left_preparing_when_the_chains_raise_is_reaped(two_workers_within_5s,
@@ -432,7 +487,11 @@ def test_convergence_sorts_each_cloud_once(monkeypatch):
     (lambda cfg: exp.run_dimension_sweep(cfg, dims=(1, 2)), dict(distance_method="exact-1d"),
      MethodUnavailable),
     (exp.run_convergence_experiment, dict(entropy="mixed:a=0.7"), InadmissibleRegime),
-], ids=["experiment-foo", "sweep-exact-1d-p2", "experiment-inadmissible-regime"])
+    (exp.run_convergence_experiment, dict(checkpoints=(0, 10, 70)), InvalidParameters),
+    (lambda cfg: exp.run_dimension_sweep(cfg, dims=(1, 2)), dict(checkpoints=(10, 40, 70)),
+     InvalidParameters),
+], ids=["experiment-foo", "sweep-exact-1d-p2", "experiment-inadmissible-regime",
+        "experiment-checkpoint-past-steps", "sweep-checkpoint-past-steps"])
 def test_distance_method_is_checked_before_any_chain_runs(monkeypatch, run, overrides, error):
     def no_chains(*args, **kwargs):
         raise AssertionError("chains ran before the distance method was checked")
