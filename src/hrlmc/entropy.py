@@ -139,7 +139,7 @@ class Entropy:
 
     def _require_interior(self, x) -> np.ndarray:
         x = self._as_points(x)
-        if not np.all(self.contains(x)):
+        if not np.all(self._contains_unchecked(x)):
             raise DomainViolation(f"{self.name}: point outside the open domain")
         return x
 

@@ -18,11 +18,12 @@ Both experiments share one path (``_checkpoint_distances``): one distance
 task per (checkpoint, reference seed) pair; the tasks are independent and
 pure.  Each task has two halves.  The first does all that does not depend on
 the chains: it draws and embeds the reference clouds, and sorts them for
-exact-1d or solves the sweep's same-law baseline.  The second compares the
-result with the chain cloud.  Whatever the estimator, the tasks run in
-worker processes forked for the call, one fewer than usable CPUs, which take
-task indices from one pipe; each result returns to its own slot, so the
-output does not depend on the number of workers.  The workers are forked
+exact-1d or solves the sweep's same-law baseline; the generator states of
+the reference clouds are derived in one pass before the fork.  The second
+compares the result with the chain cloud.  Whatever the estimator, the tasks
+run in worker processes forked for the call, one fewer than usable CPUs,
+which take task indices from one pipe; each result returns to its own slot,
+so the output does not depend on the number of workers.  The workers are forked
 before the chains run and run the first half of each index they read while
 this process runs the chains, pushes each checkpoint cloud through the
 mirror map once and copies it into an anonymous shared ``mmap`` made before
@@ -47,13 +48,13 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import metrics
+from . import metrics, seeds
 from .analysis import bound_report, estimate_constants
 from .entropy import parse_entropy
 from .errors import (InvalidParameters, check_allocation, check_seed, parse_number,
                      parse_numbers)
 from .sampler import constant_schedule, parse_schedule, run_parallel_chains
-from .target import exact_sample, gamma_target, parse_target
+from .target import gamma_target, parse_target
 
 
 def _fmt(v: float) -> str:
@@ -132,8 +133,13 @@ class ExperimentConfig:
         return cls(**{key: _CONVERTERS[types[key]][0](val) for key, val in raw.items()})
 
 
-def _reference_cloud(target, n, base_seed, tag, k, rep):
-    return exact_sample(target, n, (int(base_seed), tag, int(k), int(rep)))
+def _reference_cloud(target, entropy, n, rng, state, inc):
+    """The mirror image of ``n`` exact draws from ``target`` by ``rng`` from the
+    PCG64 state ``(state, inc)``: the embedded ``exact_sample`` of the seed
+    that state came from."""
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return entropy.grad(target.sample_exact(rng, n))
 
 
 def _usable_cpus() -> int:
@@ -287,18 +293,20 @@ def _checkpoint_steps(config):
     return ks
 
 
-def _checkpoint_distances(entropy, target, schedule, config, seed, ks, reference, comparable,
-                          pair):
+def _checkpoint_distances(entropy, target, schedule, config, seed, ks, tags, reference,
+                          comparable, pair):
     """Run the configured chains from ``seed`` and map the distance tasks over their clouds.
 
-    Task (j, rep) is ``pair(comparable(cloud), reference(ks[j], rep))``, where
+    Task (j, rep) is ``pair(comparable(cloud), reference(*refs))``, where
     ``cloud`` is the chain cloud recorded at step ``ks[j]``, pushed through
-    the mirror map.  ``reference`` does not depend on the chains: the
-    distance workers, forked before the chains run, call it while this
-    process runs the chains and writes the embedded checkpoint clouds to a
-    shared buffer, which they then read.  Each process applies ``comparable``
-    once to each chain cloud it compares.  Returns the trace and the results
-    stacked to shape ``(len(ks), config.reference_seeds, ...)``.
+    the mirror map, and ``refs`` holds, per tag, the embedded exact sample
+    of seed ``(config.base_seed, tag, ks[j], rep)``, drawn by one Generator
+    per process.  The references do not depend on the chains: the distance
+    workers, forked before the chains run, draw them and call ``reference``
+    while this process runs the chains and writes the embedded checkpoint
+    clouds to a shared buffer, which they then read.  Each process applies
+    ``comparable`` once to each chain cloud it compares.  Returns the trace
+    and the results stacked to shape ``(len(ks), config.reference_seeds, ...)``.
     """
     metrics.resolve_method(config.distance_method, config.chains, config.chains, target.dim)
     reps = config.reference_seeds
@@ -311,6 +319,10 @@ def _checkpoint_distances(entropy, target, schedule, config, seed, ks, reference
     # Anonymous shared memory: what this process writes to it after the fork,
     # the workers read.
     clouds = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+    # Row t, column i: the state of tag t for task i = (j, rep).
+    states, incs = seeds.pcg64_states(config.base_seed, np.array(tags)[:, None],
+                                      np.repeat(ks, reps), np.tile(np.arange(reps), len(ks)))
+    rng = np.random.default_rng(0)  # set to each reference cloud's state before it draws
     trace = None
 
     def run_chains():
@@ -325,7 +337,8 @@ def _checkpoint_distances(entropy, target, schedule, config, seed, ks, reference
     chain_clouds = {}  # filled in each process, one entry per checkpoint it compares
 
     def prepare(i):
-        return reference(int(ks[i // reps]), i % reps)
+        return reference(*(_reference_cloud(target, entropy, config.chains, rng, state, inc)
+                           for state, inc in zip(states[:, i], incs[:, i])))
 
     def task(i, ref):
         j = i // reps
@@ -400,12 +413,8 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
         def pair(a, b):
             return metrics.w2_embedded(a, b, method=method).value
 
-    def reference(k, rep):
-        ref = _reference_cloud(target, config.chains, config.base_seed, 7733, k, rep)
-        return comparable(metrics.mirror_embed(entropy, ref))
-
     trace, d = _checkpoint_distances(entropy, target, schedule, config, config.base_seed,
-                                     ks, reference, comparable, pair)
+                                     ks, (7733,), comparable, comparable, pair)
     medians = np.median(d, axis=1)
     iqrs = np.percentile(d, 75, axis=1) - np.percentile(d, 25, axis=1)
     w0_hat = float(medians[ks == 0][0])
@@ -489,12 +498,10 @@ def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
         target = gamma_target(np.repeat(template.a, p), np.repeat(template.b, p))
         entropy = parse_entropy(config.entropy, dim=p)
 
-        def reference(k, rep):
-            """The embedded reference cloud and the same-law baseline d0**2."""
-            ref, ref_b, ref_c = (_reference_cloud(target, config.chains, config.base_seed,
-                                                  tag + p, k, rep) for tag in (7741, 8641, 8647))
-            d0 = metrics.w2phi(entropy, ref_b, ref_c, method=config.distance_method)
-            return metrics.mirror_embed(entropy, ref), d0.value**2
+        def reference(ref, ref_b, ref_c):
+            """The reference cloud and the same-law baseline d0**2."""
+            d0 = metrics.w2_embedded(ref_b, ref_c, method=config.distance_method)
+            return ref, d0.value**2
 
         def squared_distances(cloud, prepared):
             ref, base = prepared
@@ -502,7 +509,8 @@ def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
             return d.value**2, base
 
         _, sq = _checkpoint_distances(entropy, target, schedule, config,
-                                      config.base_seed + 101 * p, plateau_ks, reference,
+                                      config.base_seed + 101 * p, plateau_ks,
+                                      (7741 + p, 8641 + p, 8647 + p), reference,
                                       lambda cloud: cloud, squared_distances)
         # Median of per-checkpoint medians: a chain ensemble occasionally
         # carries a deep-tail excursion that inflates every distance sharing

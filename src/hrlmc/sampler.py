@@ -17,12 +17,13 @@ non-negative integer, owns the Philox stream of
 per step.  Rejection retries draw ``dim`` normals per try from a separate
 per-chain child stream, started at the chain's first rejection and
 read in buffered blocks of ``_RETRY_CHUNK`` tries.  The Philox keys come from
-numpy's SeedSequence hash, computed for all chains at once (``_philox_keys``),
-and one Generator serves every stream of a call: its state is set to a row's
-position before the row draws.  A stream drawn in several calls yields the
-same numbers as one call, so neither the swapped state, the lazy start nor
-the buffer changes a number, and trajectories are reproducible regardless of
-how chains are batched or threaded.
+numpy's SeedSequence hash, computed for all chains at once (``_philox_keys``
+on ``seeds.generate_state``), and one Generator serves every stream of a
+call: its state is set to a row's position before the row draws.  A stream
+drawn in several calls yields the same numbers as one call, so neither the
+swapped state, the lazy start nor the buffer changes a number, and
+trajectories are reproducible regardless of how chains are batched or
+threaded.
 
 The metric D2phi(x) is diagonal for every entropy here, so the noise term
 is the coordinate-wise product of its square-root diagonal with xi.
@@ -71,6 +72,7 @@ from .errors import (
     check_allocation,
     parse_spec,
 )
+from .seeds import MASK32, POOL_SIZE, generate_state, int_words
 from .target import exact_sample
 
 MAX_RETRIES = 50
@@ -78,13 +80,6 @@ MAX_HALVINGS = 40
 _NOISE_CHUNK = 4096  # steps of noise pre-generated per chain at a time
 _NOISE_BYTES = 64 << 20  # cap on one chunk of noise across all chains
 _RETRY_CHUNK = 8  # retry tries of noise pre-drawn per rejecting chain at a time
-
-# numpy.random.SeedSequence's default pool size and hash constants.
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -189,7 +184,7 @@ def _check_chain_seed(base_seed, n_chains):
     if not isinstance(base_seed, (int, np.integer)) or base_seed < 0:
         raise InvalidParameters(f"a seed must be a non-negative integer, got {base_seed!r}")
     # A child index is one uint32 word of the spawn key.
-    if not 1 <= n_chains <= _MASK32:
+    if not 1 <= n_chains <= MASK32:
         raise InvalidParameters(f"need 1 to 2**32 - 1 chains, got {n_chains}")
 
 
@@ -314,58 +309,12 @@ def _philox_keys(seed, children, suffix=()) -> np.ndarray:
     Row i equals ``generate_state(2, np.uint64)`` of child ``children[i]``
     of ``SeedSequence(seed)`` (with ``suffix=(0,)``, of that child's first
     child) bit for bit, for an integer seed and child indices below 2**32.
-    Children differ only in their spawn-key word, so every hash constant,
-    and every pool word mixed before it, is one Python int for all of them;
-    only the words from the child's on are uint32 arrays.
+    Children differ only in their spawn-key word, the one array word.
     """
-    n = int(seed)
-    words = [n & _MASK32]  # numpy's little-endian uint32 words of the seed
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
+    words = int_words(seed)
     # The spawn key is nonempty, so numpy zero-pads the seed's words to the pool size.
-    words += [0] * (_POOL_SIZE - len(words))
-    return _seed_state_keys(words + [np.asarray(children, dtype=np.uint32), *suffix])
-
-
-def _seed_state_keys(words) -> np.ndarray:
-    """SeedSequence pool mixing and ``generate_state(2, np.uint64)`` over ``words``.
-
-    Each word is a Python int shared by every child or a uint32 array with
-    one entry per child; ``len(words) > _POOL_SIZE``.
-    """
-    def hashmix(value, hash_const, mult):
-        value = value ^ hash_const
-        hash_const = (hash_const * mult) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16), hash_const
-
-    def mix(x, y):
-        r = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
-        return r ^ (r >> 16)
-
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        value, hash_const = hashmix(word, hash_const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = hashmix(pool[src], hash_const, _MULT_A)
-                pool[dst] = mix(pool[dst], value)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = hashmix(word, hash_const, _MULT_A)
-            pool[dst] = mix(pool[dst], value)
-    hash_const = _INIT_B
-    state = []
-    for word in pool:
-        value, hash_const = hashmix(word, hash_const, _MULT_B)
-        state.append(np.asarray(value, dtype=np.uint64))
-    # Little-endian pairs of uint32 words make the two uint64 key words.
-    return np.stack([state[0] | (state[1] << np.uint64(32)),
-                     state[2] | (state[3] << np.uint64(32))], axis=-1)
+    words += [0] * (POOL_SIZE - len(words))
+    return generate_state(words + [np.asarray(children, dtype=np.uint32), *suffix], 2)
 
 
 def _propose(Y, gf, sq, h, root, xi):

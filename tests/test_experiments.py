@@ -12,7 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from hrlmc import experiments as exp, target as tgt
+from hrlmc import experiments as exp, seeds, target as tgt
+from hrlmc.entropy import parse_entropy
 from hrlmc.errors import (InadmissibleRegime, InvalidParameters, MethodUnavailable,
                           NumericalBreakdown, SizeMismatch)
 from hrlmc.metrics import ASSIGNMENT_MAX_POINTS
@@ -480,6 +481,68 @@ def test_convergence_sorts_each_cloud_once(monkeypatch):
     exp.run_convergence_experiment(cfg)
     n_checkpoints = len(cfg.checkpoints)
     assert sorted_sizes.count(64) == n_checkpoints * cfg.reference_seeds + n_checkpoints
+
+
+# The criterion-7 checkpoints, 0 among them.
+_CONVERGE_KS = np.array([*range(0, 21, 2), *range(30, 201, 10)])
+
+
+@pytest.mark.parametrize("p", [1, 8])
+@pytest.mark.parametrize("base_seed", [0, 1, 2**32 + 7, 2**70],
+                         ids=["zero", "one", "two-words", "three-words"])
+def test_reference_seeding_equals_exact_sample(base_seed, p):
+    # The batched PCG64 states must track numpy's SeedSequence hash and PCG64
+    # seeding bit for bit; a change there would otherwise shift every reference
+    # cloud silently.  Seeds of more than one word move the tags, checkpoints
+    # and reps past the hash's initial pool.
+    tags = (7733, 7741 + p, 8641 + p, 8647 + p)
+    states, incs = seeds.pcg64_states(base_seed, np.array(tags)[:, None],
+                                      np.repeat(_CONVERGE_KS, 20), np.tile(np.arange(20), 29))
+    target = tgt.gamma_target([5.0] * p, [1.0] * p)
+    entropy = parse_entropy("burg", dim=p)
+    rng = np.random.default_rng(0)
+    pairs = [(k, rep) for k in _CONVERGE_KS.tolist() for rep in range(20)]
+    assert states.shape == incs.shape == (len(tags), len(pairs))
+    for t, tag in enumerate(tags):
+        for i, (k, rep) in enumerate(pairs):
+            seed = (base_seed, tag, k, rep)
+            assert np.random.default_rng(seed).bit_generator.state["state"] == {
+                "state": states[t, i], "inc": incs[t, i]}, seed
+            np.testing.assert_array_equal(
+                exp._reference_cloud(target, entropy, 3, rng, states[t, i], incs[t, i]),
+                entropy.grad(tgt.exact_sample(target, 3, seed)))
+
+
+def test_reference_seed_columns_must_fit_one_word():
+    # A checkpoint of 2**32 is two words of numpy's seed; as a uint32 it would wrap to 0.
+    with pytest.raises(InvalidParameters, match="below 2"):
+        seeds.pcg64_states(0, np.array([7733]), np.array([0, 2**32]), np.array([0, 0]))
+
+
+@pytest.mark.parametrize("run, overrides", [
+    (exp.run_convergence_experiment, {}),
+    (lambda cfg: exp.run_dimension_sweep(cfg, dims=(1, 2)),
+     dict(steps=20, checkpoints=(10, 20), plateau_window=2)),
+], ids=["convergence", "sweep"])
+def test_no_generator_per_reference_cloud(monkeypatch, run, overrides):
+    # A serial map runs every task in this process, so every generator made
+    # for a reference cloud would be counted here.
+    monkeypatch.setattr(exp, "_usable_cpus", lambda: 1)
+    made = 0
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        nonlocal made
+        made += 1
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    counts = []
+    for reps in (2, 6):
+        made = 0
+        run(small_gamma_config(**{"chains": 64, "reference_seeds": reps, **overrides}))
+        counts.append(made)
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("run, overrides, error", [
