@@ -3,7 +3,11 @@
 import hashlib
 import io
 import json
+import os
+import signal
 import struct
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -210,6 +214,172 @@ def test_sample_csv_digest_is_pinned(capsys):
     assert run_cli(args) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "389f129f842b09bae252db45f161204ccbb03a3d53dbd0a7f477191cac1fe28d"
+
+
+@pytest.fixture
+def no_child_left():
+    """A 10 s limit on the test, and no child process left after it."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the writer took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _counting_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("out", ["file", "stdout"])
+def test_writer_workers_give_the_same_bytes_at_every_process_count(out, no_child_left,
+                                                                   monkeypatch, tmp_path,
+                                                                   capsys):
+    # Blocks of 2 rows split the 31-record chains; 47 blocks pay for up to 2 workers.
+    seen = _recording_run(monkeypatch)
+    monkeypatch.setattr(cli, "_CSV_ROWS", 2)
+    forks = _counting_forks(monkeypatch)
+    texts = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+        path = tmp_path / f"{cpus}.csv" if out == "file" else "-"
+        assert run_cli(["sample", *_WRITER_CASES["harmonic"], "--out", str(path)]) == 0
+        texts.append(path.read_text() if out == "file" else capsys.readouterr().out)
+        assert len(forks) == cpus * (cpus - 1) // 2
+    assert texts == [_per_value_csv(seen[0], 1)] * 3
+
+
+@pytest.mark.parametrize("shape, n_forks", [((256, 21, 2), 0), ((16, 4096, 1), 1)],
+                         ids=["mixed-3-blocks", "16-blocks"])
+def test_writer_workers_fork_only_above_the_floor(shape, n_forks, no_child_left, monkeypatch):
+    # The mixed workload's trace is 3 blocks of 4096 values; 16 blocks pay for one worker.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    forks = _counting_forks(monkeypatch)
+    n_chains, n_records, p = shape
+    points = np.random.default_rng(0).gamma(5.0, size=shape)
+    trace = Trace(points, np.arange(n_records), np.full(n_records, 0.05),
+                  np.zeros(n_chains, dtype=np.int64))
+    fh = io.StringIO()
+    cli._write_trace_csv(fh, trace)
+    assert len(forks) == n_forks
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    serial = io.StringIO()
+    cli._write_trace_csv(serial, trace)
+    assert fh.getvalue() == serial.getvalue()
+
+
+def _small_blocks_trace(monkeypatch, cpus):
+    """A 48-block trace of 2-row blocks that split its 8-record chains, on ``cpus`` CPUs."""
+    monkeypatch.setattr(cli, "_CSV_ROWS", 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    points = np.linspace(0.1, 9.6, 96).reshape(12, 8, 1)
+    return Trace(points, np.arange(8) * 2, np.full(8, 0.05), np.zeros(12, dtype=np.int64))
+
+
+def test_writer_worker_that_dies_costs_time_not_output(no_child_left, monkeypatch):
+    trace = _small_blocks_trace(monkeypatch, 3)
+    parent, formatted, real = os.getpid(), [], cli._format_17g
+
+    def format_then_die(values):
+        if os.getpid() != parent and formatted:
+            os._exit(0)  # a worker ends after its first block
+        formatted.append(None)
+        return real(values)
+
+    monkeypatch.setattr(cli, "_format_17g", format_then_die)
+    fh = io.StringIO()
+    cli._write_trace_csv(fh, trace)
+    assert fh.getvalue() == _per_value_csv(trace, 1)
+    assert len(formatted) == 48 - 2  # each worker formatted one block
+
+
+def test_writer_worker_outlives_no_failed_write(no_child_left, monkeypatch):
+    trace = _small_blocks_trace(monkeypatch, 3)
+
+    class Full(io.StringIO):
+        def write(self, text):
+            if self.tell() > 100:
+                raise OSError(28, "No space left on device")
+            return super().write(text)
+
+    with pytest.raises(OSError, match="No space"):
+        cli._write_trace_csv(Full(), trace)
+
+
+def test_text_buffered_before_forking_writer_workers_is_written_once(no_child_left, monkeypatch,
+                                                                     capfd):
+    trace = _small_blocks_trace(monkeypatch, 2)
+    real = cli._format_17g
+
+    def format_and_say(values):
+        print("block", flush=True)
+        return real(values)
+
+    monkeypatch.setattr(cli, "_format_17g", format_and_say)
+    # pytest's own sys.stdout writes through; this one keeps text in its buffer.
+    with io.TextIOWrapper(open(os.dup(1), "wb")) as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        print("before the fork")
+        cli._write_trace_csv(io.StringIO(), trace)
+    lines = capfd.readouterr().out.splitlines()
+    assert lines == ["before the fork"] + ["block"] * 48
+
+
+_NO_CHILD_LEFT = """import os, sys
+from hrlmc import cli
+cli._CSV_ROWS = 64
+cli._usable_cpus = lambda: 2
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit(99)
+"""
+
+
+def test_writer_workers_end_on_a_broken_stdout_pipe(tmp_path):
+    # About 400 KB of CSV in 125 blocks: far more than the pipe holds once
+    # the reader has gone.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["sample", "--entropy", "burg", "--target", "gamma:a=5,b=1", "--h", "0.05",
+            "--steps", "1999", "--chains", "4", "--out", "-"]
+    proc = subprocess.Popen([sys.executable, "-c", _NO_CHILD_LEFT, *argv], cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": src},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"chain,step,h,x_1\n"
+    proc.stdout.close()
+    with proc.stderr:
+        stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == "error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    _WRITER_CASES["burg-burn-thin"],
+    ["--entropy", "burg", "--target", "gamma:a=5,b=1", "--pairs", "5"],
+], ids=["sample", "check"])
+def test_output_to_a_full_device_is_invalid_input(argv, capsys):
+    command = "check" if "--pairs" in argv else "sample"
+    assert run_cli([command, *argv, "--out", "/dev/full"]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr == "error: cannot write /dev/full: No space left on device\n"
 
 
 _SAMPLE = ["sample", "--entropy", "burg", "--target", "gamma:a=5,b=1", "--steps", "5"]
