@@ -4,7 +4,9 @@ Subcommands: sample, distance, check, bound, experiment, sweep.  All
 randomness flows from --seed / config seeds; re-running any command with the
 same arguments writes byte-identical output.  Exit codes: 0 success, 1
 invalid input or out of memory, 2 assumption-gate failure, 3 numerical
-breakdown.
+breakdown.  ``hrlmc sample`` formats a long trace CSV in workers forked by
+``workers.forked``, which flushes, forks, and kills and reaps them; a worker
+that fails to start costs time, not output.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ import functools
 import io
 import json
 import os
-import signal
 import stat
 import sys
 import warnings
 
 import numpy as np
 
-from . import analysis, metrics
+from . import analysis, metrics, workers
 from .entropy import parse_entropy
 from .errors import (
     Divergent,
@@ -37,8 +38,7 @@ from .errors import (
     check_allocation,
     parse_numbers,
 )
-from .experiments import (ExperimentConfig, _fmt, _usable_cpus, run_convergence_experiment,
-                          run_dimension_sweep)
+from .experiments import ExperimentConfig, _fmt, run_convergence_experiment, run_dimension_sweep
 from .sampler import constant_schedule, parse_schedule, run_parallel_chains
 from .target import parse_target
 
@@ -239,9 +239,8 @@ def _write_trace_csv(fh, trace):
     leaves the text, whose floats are ``format(v, ".17g")`` of every value as
     ``_fmt`` writes them, including ``inf``, ``nan`` and ``-0``.
 
-    ``_write_blocks`` writes the blocks in order.  Up to one fewer than usable
-    CPUs, one worker is forked per ``_FORK_BLOCKS`` blocks to format a share
-    of them, so the bytes do not depend on the number of processes.
+    ``_write_blocks`` writes the blocks in order, whichever process formats
+    them, so the bytes do not depend on the number of processes.
     """
     n_chains, n_records, p = trace.points.shape
     fh.write("chain,step,h," + ",".join(f"x_{j + 1}" for j in range(p)) + "\n")
@@ -278,67 +277,39 @@ def _write_trace_csv(fh, trace):
             cells[:, :, w] = words[w]
         return block.tobytes().translate(None, b"\0")
 
-    starts = range(0, len(points), rows)
-    workers = min(_usable_cpus() - 1, len(starts) // _FORK_BLOCKS) if hasattr(os, "fork") else 0
-    _write_blocks(fh, block_bytes, starts, workers)
+    _write_blocks(fh, block_bytes, range(0, len(points), rows))
 
 
-def _write_blocks(fh, block_bytes, starts, workers):
+def _write_blocks(fh, block_bytes, starts):
     """Write ``block_bytes(start)`` of each start to ``fh`` in order.
 
-    Of this process (j = 0) and ``workers`` forked ones (j = 1..W), process j
-    formats the blocks b with b mod (W + 1) = j.  A worker reads the trace
-    through pages it shares with this process and sends each block,
-    length-prefixed, down its own pipe, so each process holds one block at a
-    time.  ``experiments._map_distance_tasks`` returns a worker's results as
-    one pickle at the end; here that would be ~15 MB of text per worker, and a
-    child's peak RSS counts as the run's.  On EOF or a short read this process
-    formats the rest of that worker's blocks, so a dead worker costs time, not
-    output.  Every worker is killed and reaped before this returns or raises.
+    ``workers.forked`` starts one worker per ``_FORK_BLOCKS`` blocks, and of
+    this process (j = 0) and the W workers, process j formats the blocks b
+    with b mod (W + 1) = j.  A worker reads the trace through pages it shares
+    with this process and sends each block, length-prefixed, down its pipe,
+    so each process holds one block at a time; one pickle at the end, as a
+    distance worker sends, would be ~15 MB of text, and a child's peak RSS
+    counts as the run's.  This process formats the rest of a worker's blocks
+    after EOF or a short read, and every block of one that never started.
     """
-    for stream in (fh, sys.stdout, sys.stderr):  # buffered text a child would write again
-        stream.flush()
-    n = workers + 1
-    pids, pipes = [], []
-    try:
-        for j in range(1, n):
-            r, w = os.pipe()
-            with contextlib.suppress(ImportError, AttributeError, OSError):
-                import fcntl  # Linux: 1 MiB holds several blocks, ~20 ms off sample's writer
+    def child(j, n, out):
+        for start in starts[j::n]:
+            data = block_bytes(start)
+            out.write(len(data).to_bytes(8, "little"))
+            out.write(data)
+            out.flush()
 
-                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    os.close(r)  # so that a write fails once this process is gone
-                    with open(w, "wb") as out:
-                        for start in starts[j::n]:
-                            data = block_bytes(start)
-                            out.write(len(data).to_bytes(8, "little"))
-                            out.write(data)
-                            out.flush()
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
-            os.close(w)
-            pipes.append(open(r, "rb"))
+    with workers.forked(len(starts) // _FORK_BLOCKS, child, fh) as started:
+        n = len(started) + 1
         for b, start in enumerate(starts):
-            pipe, data = pipes[b % n - 1] if b % n else None, None
-            if pipe and not pipe.closed:
-                # The length leads a write and is never split: a short one is b"", EOF.
-                size = int.from_bytes(pipe.read(8), "little")
-                data = pipe.read(size)
-                if len(data) < size or not size:
-                    pipe.close()
-                    data = None
+            worker, data = started[b % n - 1] if b % n else None, b""
+            if worker:
+                # A length is never split: a short one is b"", EOF, as is every later read.
+                size = int.from_bytes(worker.reply.read(8), "little")
+                data = worker.reply.read(size)
+                if len(data) < size:
+                    data = b""
             fh.write((data or block_bytes(start)).decode("ascii"))
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _cmd_sample(args) -> int:

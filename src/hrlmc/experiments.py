@@ -18,18 +18,14 @@ Both experiments share one path (``_checkpoint_distances``): one distance
 task per (checkpoint, reference seed) pair; the tasks are independent and
 pure.  Each task has two halves.  The first does all that does not depend on
 the chains: it draws and embeds the reference clouds, and sorts them for
-exact-1d or solves the sweep's same-law baseline; the generator states of
-the reference clouds are derived in one pass before the fork.  The second
-compares the result with the chain cloud.  Whatever the estimator, the tasks
-run in worker processes forked for the call, one fewer than usable CPUs,
-which take task indices from one pipe; each result returns to its own slot,
-so the output does not depend on the number of workers.  The workers are forked
-before the chains run and run the first half of each index they read while
-this process runs the chains, pushes each checkpoint cloud through the
-mirror map once and copies it into an anonymous shared ``mmap`` made before
-the fork.  Once the clouds are written this process closes a second pipe.
-Each worker then runs the second halves it has put off and both halves of
-each later index, and this process joins them as the last worker.
+exact-1d or solves the sweep's same-law baseline, from generator states
+derived in one pass.  The second compares the result with the chain cloud.
+The tasks run in workers forked by ``workers.forked``, which flushes, forks,
+and kills and reaps them; a worker that fails to start costs time, not
+output.  They are forked before the chains run, so the first halves run
+while this process runs the chains, and this process joins them as the last
+worker.  Each result returns to its own slot, so the output does not depend
+on the number of workers.
 
 Every experiment is a pure function of its config; re-running writes
 byte-identical CSV output (floats serialized with 17 significant digits).
@@ -37,18 +33,18 @@ byte-identical CSV output (floats serialized with 17 significant digits).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
 import pickle
-import signal
-import sys
+import select
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import get_type_hints
 
 import numpy as np
 
-from . import metrics, seeds
+from . import metrics, seeds, workers
 from .analysis import bound_report, estimate_constants
 from .entropy import parse_entropy
 from .errors import (InvalidParameters, check_allocation, check_seed, parse_number,
@@ -142,34 +138,45 @@ def _reference_cloud(target, entropy, n, rng, state, inc):
     return entropy.grad(target.sample_exact(rng, n))
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
+def _map_distance_tasks(task, n_tasks, prepare, meanwhile):
+    """``meanwhile()``, then ``[task(i, prepare(i)) for i in range(n_tasks)]``,
+    with the ``prepare`` halves run in forked workers alongside ``meanwhile()``.
 
+    Up to one worker per task but the first is forked, so each inherits
+    ``task`` and ``prepare`` (their clouds and targets do not pickle) and the
+    solver modules that ``metrics.resolve_method`` imports.  If any started,
+    as many task indices as one pipe holds are written to it, each as its own
+    4-byte write, which is atomic.  A worker runs ``prepare`` on each index it
+    reads, and the ``task`` halves once this process has run ``meanwhile()``
+    and closed a second pipe, ``ready``, which orders what ``meanwhile()``
+    wrote to shared memory before the workers' reads on every platform.  This
+    process then joins as the last worker, on the indices not fed, in order,
+    then on those it reads, so a worker that draws cheap tasks takes more.
 
-def _serve(task, prepare, indices, ready, ready_w, reply):
-    """A forked worker: run both halves of the task of each index read from
-    ``indices`` until EOF, send one pickle of the ``(index, result)`` pairs,
-    or of the first exception and its traceback, on ``reply``, and exit.
-
-    ``prepare(i)`` runs on each index as it is read; ``task(i, prepare(i))``
-    waits for EOF on ``ready``, which is checked without blocking after each
-    ``prepare`` and waited for at EOF on ``indices``.  From then on each
-    index's task runs right after its ``prepare``.  ``ready_w`` is this
-    process's copy of the write end of ``ready``; it is closed first, or the
-    worker would never see EOF.
+    Each worker's ``(index, result)`` pairs come back as one pickle, and each
+    result goes to its own slot.  A worker's exception is re-raised here with
+    its own type, and a worker that ends without a reply raises
+    ``RuntimeError`` with its exit code; one raised in this process, by
+    ``meanwhile`` or a task, propagates unchanged.
     """
-    try:
-        os.close(ready_w)
-        try:
-            import select
+    indices_r, indices_w = os.pipe()
+    ready_r, ready_w = os.pipe()
+    results = [None] * n_tasks
 
+    def serve(j, n, out):
+        """A worker: one pickle of its pairs, or of its first exception and traceback.
+
+        Its copies of both write ends are closed first, or it would never see
+        EOF.  Once ``ready`` is at EOF, polled after each ``prepare`` and
+        waited for at EOF on the indices, each task runs after its ``prepare``.
+        """
+        try:
+            os.close(indices_w)
+            os.close(ready_w)
             closed = select.poll()  # nothing is written to ``ready``: it polls readable at EOF
-            closed.register(ready, select.POLLIN)
+            closed.register(ready_r, select.POLLIN)
             prepared, done = [], []
-            while index := os.read(indices, 4):
+            while index := os.read(indices_r, 4):
                 i = int.from_bytes(index, "little")
                 prepared.append((i, prepare(i)))
                 if closed.poll(0):
@@ -182,102 +189,40 @@ def _serve(task, prepare, indices, ready, ready_w, reply):
             import traceback
 
             payload = pickle.dumps((exc, traceback.format_exc()))
-        with open(reply, "wb") as out:
-            out.write(payload)
-        os._exit(0)
-    finally:
-        os._exit(1)
+        out.write(payload)
 
-
-def _map_distance_tasks(task, n_tasks, prepare, meanwhile):
-    """``meanwhile()``, then ``[task(i, prepare(i)) for i in range(n_tasks)]``,
-    with the ``prepare`` halves run in forked workers alongside ``meanwhile()``.
-
-    As many task indices as one pipe holds are written to it, each as its own
-    4-byte write, which is atomic, and the pipe is closed.  One worker fewer
-    than usable CPUs is then forked, so each inherits ``task`` and ``prepare``
-    (their clouds and targets do not pickle) and the solver modules that
-    ``metrics.resolve_method`` imports.  Each worker runs ``prepare`` on the
-    indices it reads while this process runs ``meanwhile()`` and then closes a
-    second pipe, ``ready``: from then on a worker runs the ``task`` halves it
-    has put off and both halves of each later index.  The close orders what
-    ``meanwhile()`` wrote to shared memory before the workers' reads, which a
-    flag in that memory would not do on every platform.  This process then
-    joins as the last worker: it runs both halves on the indices that did not
-    fit in the pipe and on those it reads from it, so a worker that draws
-    cheap tasks takes more of them.  With one usable CPU or no ``fork``,
-    ``meanwhile()`` runs first and then each task's halves in turn.
-
-    A worker returns its ``(index, result)`` pairs as one pickle on a pipe of
-    its own and each result goes back to its own slot, so the output does not
-    depend on the number of workers.  An exception raised in a worker is
-    re-raised here with its own type, and a worker that ends without a reply
-    raises ``RuntimeError`` with its exit status; one raised in this process,
-    by ``meanwhile`` or a task, propagates unchanged.  Every worker is killed
-    and reaped before this returns or raises.
-    """
-    workers = min(_usable_cpus(), n_tasks)
-    if workers < 2 or not hasattr(os, "fork"):
-        meanwhile()
-        return [task(i, prepare(i)) for i in range(n_tasks)]
-    # A child must not inherit, and later write out again, buffered text.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pids, replies = [], []
-    indices_r, indices_w = os.pipe()
-    ready_r, ready_w = os.pipe()
-    results = [None] * n_tasks
     with (open(indices_r, "rb", 0) as indices_in, open(indices_w, "wb", 0) as indices_out,
-          open(ready_r, "rb", 0), open(ready_w, "wb", 0) as ready_out):
-        try:
-            # This process reads the pipe too, once meanwhile() returns, so a write
-            # that waits for room could wait forever; the indices that do not fit
-            # are its own.
+          open(ready_r, "rb", 0), open(ready_w, "wb", 0) as ready_out,
+          workers.forked(n_tasks - 1, serve) as started):
+        fed = 0
+        if any(started):
+            # This process reads the pipe too, once meanwhile() returns, so a
+            # write that waits for room could wait forever.
             os.set_blocking(indices_w, False)
-            fed = 0
-            try:
+            with contextlib.suppress(BlockingIOError):
                 while fed < n_tasks:
                     os.write(indices_w, fed.to_bytes(4, "little"))
                     fed += 1
-            except BlockingIOError:
-                pass
-            indices_out.close()
-            for _ in range(workers - 1):
-                reply_r, reply_w = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    _serve(task, prepare, indices_r, ready_r, ready_w, reply_w)
-                pids.append(pid)
-                os.close(reply_w)
-                replies.append(open(reply_r, "rb"))
-            meanwhile()
-            ready_out.close()
-            for i in range(fed, n_tasks):
-                results[i] = task(i, prepare(i))
-            while index := indices_in.read(4):
-                i = int.from_bytes(index, "little")
-                results[i] = task(i, prepare(i))
-            for pid, reply in zip(pids, replies):
-                with reply:
-                    payload = reply.read()
-                if not payload:
-                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    pids.remove(pid)
-                    raise RuntimeError(f"distance worker {pid} ended with status {status} "
-                                       "and no result")
-                done = pickle.loads(payload)
-                if isinstance(done, tuple):
-                    exc, text = done
-                    raise exc from RuntimeError(f"in distance worker {pid}:\n{text}")
-                for i, value in done:
-                    results[i] = value
-            return results
-        finally:
-            for reply in replies:
-                reply.close()
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        indices_out.close()
+        meanwhile()
+        ready_out.close()
+        for i in range(fed, n_tasks):
+            results[i] = task(i, prepare(i))
+        while index := indices_in.read(4):
+            i = int.from_bytes(index, "little")
+            results[i] = task(i, prepare(i))
+        replies = [(worker, worker.reply.read()) for worker in started if worker]
+    for worker, payload in replies:  # each worker's exit code is known once it is reaped
+        if not payload:
+            raise RuntimeError(f"distance worker {worker.pid} ended with status "
+                               f"{worker.exit_code} and no result")
+        done = pickle.loads(payload)
+        if isinstance(done, tuple):
+            exc, text = done
+            raise exc from RuntimeError(f"in distance worker {worker.pid}:\n{text}")
+        for i, value in done:
+            results[i] = value
+    return results
 
 
 def _checkpoint_steps(config):

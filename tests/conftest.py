@@ -1,3 +1,6 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -30,3 +33,23 @@ def gamma_bound_run():
 @pytest.fixture(scope="session")
 def rng_master():
     return np.random.default_rng(20_240_817)
+
+
+@pytest.fixture
+def fork_fails_at(monkeypatch):
+    """``fork_fails_at(call)`` makes the ``call``-th ``os.fork`` from then on raise
+    EAGAIN, as a full process table does, and returns the list of its calls."""
+
+    def patch(call):
+        calls, real = [], os.fork
+
+        def fork():
+            calls.append(None)
+            if len(calls) == call:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
+
+    return patch

@@ -256,7 +256,7 @@ def test_writer_workers_give_the_same_bytes_at_every_process_count(out, no_child
     forks = _counting_forks(monkeypatch)
     texts = []
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda cpus=cpus: cpus)
         path = tmp_path / f"{cpus}.csv" if out == "file" else "-"
         assert run_cli(["sample", *_WRITER_CASES["harmonic"], "--out", str(path)]) == 0
         texts.append(path.read_text() if out == "file" else capsys.readouterr().out)
@@ -268,7 +268,7 @@ def test_writer_workers_give_the_same_bytes_at_every_process_count(out, no_child
                          ids=["mixed-3-blocks", "16-blocks"])
 def test_writer_workers_fork_only_above_the_floor(shape, n_forks, no_child_left, monkeypatch):
     # The mixed workload's trace is 3 blocks of 4096 values; 16 blocks pay for one worker.
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda: 3)
     forks = _counting_forks(monkeypatch)
     n_chains, n_records, p = shape
     points = np.random.default_rng(0).gamma(5.0, size=shape)
@@ -277,7 +277,7 @@ def test_writer_workers_fork_only_above_the_floor(shape, n_forks, no_child_left,
     fh = io.StringIO()
     cli._write_trace_csv(fh, trace)
     assert len(forks) == n_forks
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda: 1)
     serial = io.StringIO()
     cli._write_trace_csv(serial, trace)
     assert fh.getvalue() == serial.getvalue()
@@ -286,7 +286,7 @@ def test_writer_workers_fork_only_above_the_floor(shape, n_forks, no_child_left,
 def _small_blocks_trace(monkeypatch, cpus):
     """A 48-block trace of 2-row blocks that split its 8-record chains, on ``cpus`` CPUs."""
     monkeypatch.setattr(cli, "_CSV_ROWS", 2)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda: cpus)
     points = np.linspace(0.1, 9.6, 96).reshape(12, 8, 1)
     return Trace(points, np.arange(8) * 2, np.full(8, 0.05), np.zeros(12, dtype=np.int64))
 
@@ -340,10 +340,40 @@ def test_text_buffered_before_forking_writer_workers_is_written_once(no_child_le
     assert lines == ["before the fork"] + ["block"] * 48
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("call", [1, 2], ids=["first-fork", "second-fork"])
+def test_writer_worker_that_fails_to_start_costs_time_not_output(call, no_child_left, monkeypatch,
+                                                                 tmp_path, fork_fails_at):
+    # 47 blocks pay for 2 workers on 3 CPUs; one of the two forks fails.
+    monkeypatch.setattr(cli, "_CSV_ROWS", 2)
+    monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda: 3)
+    argv = ["sample", *_WRITER_CASES["harmonic"], "--out"]
+    assert run_cli([*argv, str(tmp_path / "forked.csv")]) == 0
+    fds = len(os.listdir("/proc/self/fd"))
+    calls = fork_fails_at(call)
+    assert run_cli([*argv, str(tmp_path / "t.csv")]) == 0
+    assert len(calls) == 2
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
+
+
+def test_writer_workers_without_fork_give_the_forked_bytes(no_child_left, monkeypatch, tmp_path):
+    # 47 blocks pay for one worker on 2 CPUs; without os.fork this process formats them all.
+    monkeypatch.setattr(cli, "_CSV_ROWS", 2)
+    monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda: 2)
+    forks = _counting_forks(monkeypatch)
+    argv = ["sample", *_WRITER_CASES["harmonic"], "--out"]
+    assert run_cli([*argv, str(tmp_path / "forked.csv")]) == 0
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "fork")
+    assert run_cli([*argv, str(tmp_path / "t.csv")]) == 0
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
+
+
 _NO_CHILD_LEFT = """import os, sys
-from hrlmc import cli
+from hrlmc import cli, workers
 cli._CSV_ROWS = 64
-cli._usable_cpus = lambda: 2
+workers.usable_cpus = lambda: 2
 code = cli.main(sys.argv[1:])
 try:
     os.waitpid(-1, os.WNOHANG)

@@ -265,13 +265,37 @@ def _convergence_csv(**overrides):
 def test_csv_does_not_depend_on_worker_count(monkeypatch, produce):
     csvs = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(exp, "_usable_cpus", lambda workers=workers: workers)
+        monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda workers=workers: workers)
         csvs.append(produce())
     assert csvs[1:] == csvs[:1] * 2
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("call", [1, 2], ids=["first-fork", "second-fork"])
+def test_worker_that_fails_to_start_costs_time_not_output(call, monkeypatch, fork_fails_at):
+    # Twelve tasks fork 2 workers on 3 CPUs; one of the two forks fails.
+    monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda: 3)
+    forked = _convergence_csv()
+    fds = len(os.listdir("/proc/self/fd"))
+    calls = fork_fails_at(call)
+    assert _convergence_csv() == forked
+    assert len(calls) == 2
+    assert len(os.listdir("/proc/self/fd")) == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_map_without_fork_gives_the_forked_bytes(monkeypatch, fork_fails_at):
+    monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda: 2)
+    calls = fork_fails_at(0)  # counts the forks, and none fails
+    forked = _convergence_csv()
+    assert len(calls) == 1
+    monkeypatch.delattr(os, "fork")
+    assert _convergence_csv() == forked
+
+
 def test_worker_error_keeps_its_type(monkeypatch):
-    monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda: 2)
     cfg = small_gamma_config(target="gamma:a=5,5;b=1,1", steps=0, checkpoints=(0,),
                              chains=ASSIGNMENT_MAX_POINTS + 1, reference_seeds=2,
                              distance_method="assignment")
@@ -303,7 +327,7 @@ def two_workers_within_5s(monkeypatch):
     def too_slow(signum, frame):
         raise TimeoutError("the worker map took over 5 s")
 
-    monkeypatch.setattr(exp, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda: 2)
     previous = signal.signal(signal.SIGALRM, too_slow)
     signal.alarm(5)
     try:
@@ -468,7 +492,7 @@ def test_worker_feed_does_not_wait_for_room_in_the_pipe(two_workers_within_5s):
 def test_convergence_sorts_each_cloud_once(monkeypatch):
     # One sort per reference cloud and one per checkpoint cloud, not one of
     # each per task; a serial map runs every task in this process.
-    monkeypatch.setattr(exp, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda: 1)
     cfg = small_gamma_config(chains=64)
     sorted_sizes = []
     sort = np.sort
@@ -527,7 +551,7 @@ def test_reference_seed_columns_must_fit_one_word():
 def test_no_generator_per_reference_cloud(monkeypatch, run, overrides):
     # A serial map runs every task in this process, so every generator made
     # for a reference cloud would be counted here.
-    monkeypatch.setattr(exp, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda: 1)
     made = 0
     default_rng = np.random.default_rng
 
