@@ -273,11 +273,9 @@ def _checkpoint_distances(entropy, target, schedule, config, seed, ks, tags, ref
     def run_chains():
         nonlocal trace
         trace = run_parallel_chains(entropy, target, schedule, config.x0 or None, config.steps,
-                                    seed, config.chains)
-        # Step k is record k: the chains record every step, and the
-        # checkpoints were checked to lie in [0, steps].
-        for j, k in enumerate(ks):
-            clouds[j] = metrics.mirror_embed(entropy, trace.points[:, k])
+                                    seed, config.chains, record_steps=ks)
+        for j in range(len(ks)):
+            clouds[j] = metrics.mirror_embed(entropy, trace.points[:, j])
 
     chain_clouds = {}  # filled in each process, one entry per checkpoint it compares
 

@@ -59,6 +59,7 @@ proposal on the dual domain.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +161,7 @@ class Trace:
 def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
                         n_steps: int, base_seed: int, n_chains: int,
                         record_every: int = 1, burn_in: int = 0,
-                        override_gate: bool = False) -> Trace:
+                        override_gate: bool = False, record_steps=None) -> Trace:
     """Run independent chains into one Trace; bitwise identical to serial runs.
 
     Chain c (row c of the trace) runs from the stream of
@@ -170,13 +171,41 @@ def run_parallel_chains(entropy, target, schedule: StepSchedule, x0,
     shape (1,) or (p,) starts every chain there; one of shape (n_chains, p)
     gives each chain its own start, and None starts every chain at
     ``entropy.interior_point()``.
+
+    The trace records the steps ``burn_in``, ``burn_in + record_every``, ...
+    up to ``n_steps``, or exactly ``record_steps``: sorted, distinct integer
+    steps in [0, ``n_steps``], given with the default ``burn_in`` and
+    ``record_every``.  Record j is then step ``record_steps[j]``, the same
+    point, step size and rejection count as in an every-step trace, and
+    only the recorded points take memory.
     """
     _check_chain_seed(base_seed, n_chains)
+    if record_every < 1 or burn_in < 0 or n_steps < 0:
+        raise InvalidParameters("bad recording parameters")
+    if record_steps is None:
+        record_steps = range(burn_in, n_steps + 1, record_every)
+    elif record_every != 1 or burn_in != 0:
+        raise InvalidParameters("record_steps replaces record_every and burn_in")
+    else:
+        record_steps = _check_record_steps(record_steps, n_steps)
     children = np.arange(n_chains, dtype=np.uint32)
     # Chain c's retry stream is the first child of its SeedSequence.
     return _run_rows(entropy, target, schedule, x0, n_steps,
                      _philox_keys(base_seed, children), _philox_keys(base_seed, children, (0,)),
-                     record_every, burn_in, override_gate)
+                     record_steps, override_gate)
+
+
+def _check_record_steps(record_steps, n_steps) -> list:
+    """``record_steps`` as a list of Python ints, if sorted, distinct and in [0, n_steps]."""
+    try:
+        steps = [operator.index(k) for k in record_steps]
+    except TypeError:
+        raise InvalidParameters("record_steps must be integers") from None
+    if any(b <= a for a, b in zip(steps, steps[1:])):
+        raise InvalidParameters("record_steps must be sorted and distinct")
+    if steps and (steps[0] < 0 or steps[-1] > n_steps):
+        raise InvalidParameters(f"record_steps must lie in [0, {n_steps}]")
+    return steps
 
 
 def _check_chain_seed(base_seed, n_chains):
@@ -188,21 +217,21 @@ def _check_chain_seed(base_seed, n_chains):
         raise InvalidParameters(f"need 1 to 2**32 - 1 chains, got {n_chains}")
 
 
-def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_every,
-              burn_in, override_gate) -> Trace:
+def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_ks,
+              override_gate) -> Trace:
     """Run one chain per row of ``keys``, all rows of one batch.
 
     Row c draws its noise from the Philox stream of ``keys[c]`` and its
-    retries from that of ``retry_keys[c]``.
+    retries from that of ``retry_keys[c]``.  The trace records the steps
+    ``record_ks``, a sorted, distinct sequence of Python ints in [0, n_steps]
+    (a range or a list), so the per-step record test compares ints and a
+    range's length is known before anything is allocated.
     """
-    if record_every < 1 or burn_in < 0 or n_steps < 0:
-        raise InvalidParameters("bad recording parameters")
     _check_dims(entropy, target)
     _check_gate(entropy, target, schedule, override_gate)
 
     n_chains = len(keys)
     p = entropy.dim
-    record_ks = range(burn_in, n_steps + 1, record_every)
     check_allocation(8 * n_chains * len(record_ks) * p,
                      f"recording {n_chains} chain(s) x {len(record_ks)} point(s) x {p} "
                      "coordinate(s)", "record fewer points (thin, burn-in) or run fewer chains")
@@ -256,7 +285,7 @@ def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_e
                 rec_pos += 1
 
     # The points take the 8 * n_chains * n_records * p bytes check_allocation counts.
-    steps = np.arange(burn_in, n_steps + 1, record_every, dtype=np.int64)
+    steps = np.array(record_ks, dtype=np.int64)
     steps.flags.writeable = False
     rec_h.flags.writeable = False
     return Trace(rec_points, steps, rec_h, rejections)

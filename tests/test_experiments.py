@@ -131,6 +131,21 @@ def test_experiment_validates_checkpoints():
         exp.run_convergence_experiment(small_gamma_config(checkpoints=(0, 100)))
 
 
+def test_record_check_counts_only_the_checkpoints(monkeypatch):
+    # Half the memory that every step's points would take: more than the
+    # checkpoint and reference clouds need, so only recording every step is refused.
+    cfg = small_gamma_config(steps=400, reference_seeds=2, assumption_pairs=200)
+    every_step = 8 * cfg.chains * (cfg.steps + 1)
+    clouds = 8 * cfg.chains * len(cfg.checkpoints) * cfg.reference_seeds
+    assert clouds < every_step // 2
+    monkeypatch.setattr("hrlmc.errors._physical_memory", lambda: every_step // 2)
+    with pytest.raises(InvalidParameters, match=r"recording 256 chain\(s\) x 401 point\(s\)"):
+        exp.run_parallel_chains(parse_entropy("burg", dim=1), tgt.gamma_target([5.0], [1.0]),
+                                exp.constant_schedule(0.05), [0.2], cfg.steps, 0, cfg.chains)
+    res = exp.run_convergence_experiment(cfg)
+    np.testing.assert_array_equal(res.checkpoints, cfg.checkpoints)
+
+
 def test_harmonic_schedule_has_no_bound_curve():
     cfg = small_gamma_config(schedule="harmonic:a=0.37", checkpoints=(0, 30, 60))
     res = exp.run_convergence_experiment(cfg)
@@ -457,16 +472,30 @@ def test_worker_left_preparing_when_the_chains_raise_is_reaped(two_workers_withi
 def test_worker_error_in_the_reference_half_keeps_its_type(two_workers_within_5s, monkeypatch):
     # Only the forked worker fails: this process, the last worker, draws its
     # own references, so the error can reach the test only through the reply.
-    here, draw = os.getpid(), exp._reference_cloud
+    # The chains return only once the worker has failed, so this process
+    # cannot take every task index before the worker reads one.
+    here, draw, chains = os.getpid(), exp._reference_cloud, exp.run_parallel_chains
+    failed_r, failed_w = os.pipe()
 
     def reference(*args):
         if os.getpid() != here:
+            os.write(failed_w, b"!")
             raise SizeMismatch("no reference cloud in a worker")
         return draw(*args)
 
+    def chains_until_the_worker_failed(*args, **kwargs):
+        trace = chains(*args, **kwargs)
+        os.read(failed_r, 1)
+        return trace
+
     monkeypatch.setattr(exp, "_reference_cloud", reference)
-    with pytest.raises(SizeMismatch, match="no reference cloud in a worker"):
-        exp.run_convergence_experiment(small_gamma_config())
+    monkeypatch.setattr(exp, "run_parallel_chains", chains_until_the_worker_failed)
+    try:
+        with pytest.raises(SizeMismatch, match="no reference cloud in a worker"):
+            exp.run_convergence_experiment(small_gamma_config())
+    finally:
+        os.close(failed_r)
+        os.close(failed_w)
 
 
 def test_worker_feed_does_not_wait_for_room_in_the_pipe(two_workers_within_5s):

@@ -296,6 +296,39 @@ def test_recording_burn_in_and_thinning():
     np.testing.assert_array_equal(traj.points, full.points[[10, 15, 20]])
 
 
+def test_record_steps_give_the_every_step_trace_at_those_steps():
+    # A harmonic schedule changes h every step, each chain starts elsewhere,
+    # and steps 0 and n_steps are both recorded.
+    e, t = ent.burg(2), tgt.gamma_target([5.0, 5.0], [1.0, 1.0])
+    sch = smp.harmonic_schedule(0.3)
+    x0 = np.array([[0.2, 1.0], [1.0, 5.0], [3.0, 0.5]])
+    full = smp.run_parallel_chains(e, t, sch, x0, 30, 4, 3)
+    ks = [0, 1, 7, 8, 29, 30]
+    part = smp.run_parallel_chains(e, t, sch, x0, 30, 4, 3, record_steps=np.array(ks))
+    assert full.rejections.sum() > 0 and np.unique(full.step_sizes).size == 31
+    np.testing.assert_array_equal(part.points, full.points[:, ks])
+    np.testing.assert_array_equal(part.steps, ks)
+    assert part.steps.dtype == np.int64 and not part.steps.flags.writeable
+    np.testing.assert_array_equal(part.step_sizes, full.step_sizes[ks])
+    np.testing.assert_array_equal(part.rejections, full.rejections)
+
+
+@pytest.mark.parametrize("record_steps, options", [
+    ([3, 1], {}), ([1, 1], {}), ([-1, 2], {}), ([0, 31], {}), ([0.0, 2.0], {}),
+    ([0, 10], {"burn_in": 1}), ([0, 10], {"record_every": 2}),
+], ids=["unsorted", "repeated", "negative", "beyond-steps", "floats", "with-burn-in",
+        "with-thinning"])
+def test_record_steps_are_refused_before_any_chain_runs(monkeypatch, record_steps, options):
+    def run(*args):
+        raise AssertionError("a chain ran before the refusal")
+
+    monkeypatch.setattr(smp, "_run_rows", run)
+    e, t = gamma_pair()
+    with pytest.raises(InvalidParameters, match="record_steps"):
+        smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 30, 0, 2,
+                                record_steps=record_steps, **options)
+
+
 def test_chains_share_one_record_buffer():
     # The memory guard counts 8 * chains * records * p bytes; per-chain
     # copies of the points or the schedule would multiply that.
@@ -337,7 +370,8 @@ def test_run_chain_deterministic():
 def _chain_alone(e, t, sch, x0, n_steps, seed, c, override_gate=False):
     """Chain c of ``run_parallel_chains`` at this seed, run as the only row."""
     return smp._run_rows(e, t, sch, x0, n_steps, smp._philox_keys(seed, [c]),
-                         smp._philox_keys(seed, [c], (0,)), 1, 0, override_gate)[0]
+                         smp._philox_keys(seed, [c], (0,)), range(n_steps + 1),
+                         override_gate)[0]
 
 
 @pytest.mark.parametrize(
