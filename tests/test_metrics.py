@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,99 @@ def test_assignment_equals_brute_force_small():
     b = rng.standard_normal((5, 2))
     est = mtr.w2phi(e, a, b, method="assignment")
     assert est.value == pytest.approx(brute_force_w2(a, b), abs=1e-14)
+
+
+def _cold_solve(a, b):
+    """scipy's solve of the unshifted matrix, as the estimator ran before its warm start."""
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
+    cost = cdist(a, b, metric="sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    return cost, rows, cols, float(cost[rows, cols].sum())
+
+
+def _warm_solve(a, b):
+    cols, matched = mtr._optimal_matching(a, b)
+    total = mtr.w2_embedded(a, b, method="assignment").aux["assignment_cost"]
+    return cols, matched, total
+
+
+_WARM_CASES = [(p, n) for p in (1, 2, 3, 8) for n in (2, 3, 5, 17, 100, 512)]
+
+
+@pytest.mark.parametrize("p,n", _WARM_CASES)
+def test_warm_assignment_matches_the_cold_solve(p, n):
+    rng = np.random.default_rng(1000 * p + n)
+    a = rng.standard_normal((n, p))
+    b = 1.5 * rng.gamma(2.0, size=(n, p)) @ np.triu(np.ones((p, p))) - 1.0
+    # The last two are far-apart laws.  At 1e3 spreads the matrix's rounding
+    # still leaves one optimum; from ~1e5 it ties near-optimal permutations.
+    for x, y in [(a, b), (b, a), (a, b + 10.0), (a, b + 1e3)]:
+        cost, rows, cold_cols, cold_total = _cold_solve(x, y)
+        cols, matched, total = _warm_solve(x, y)
+        np.testing.assert_array_equal(cols, cold_cols)
+        assert total == cold_total
+        assert np.array_equal(matched, cost[rows, cols])
+
+
+@pytest.mark.parametrize("p,n", _WARM_CASES)
+def test_warm_assignment_of_a_cloud_and_its_permutation_is_zero(p, n):
+    rng = np.random.default_rng(2000 * p + n)
+    a = rng.standard_normal((n, p))
+    perm = rng.permutation(n)
+    cols, matched, total = _warm_solve(a, a[perm])
+    np.testing.assert_array_equal(cols, _cold_solve(a, a[perm])[2])
+    np.testing.assert_array_equal(perm[cols], np.arange(n))
+    assert total == 0.0 and not matched.any()
+
+
+@pytest.mark.parametrize("p,n", [(1, 3), (1, 64), (2, 17), (2, 200), (3, 100), (8, 64)])
+def test_warm_assignment_of_tied_grids_gives_the_cold_total(p, n):
+    # Integer costs are exact, and many permutations share the optimum; the
+    # warm solve may return another of them, never another total.
+    rng = np.random.default_rng(4000 * p + n)
+    a = rng.integers(0, 4, (n, p)).astype(float)
+    b = rng.integers(0, 4, (n, p)).astype(float)
+    cost, rows, _, cold_total = _cold_solve(a, b)
+    cols, matched, total = _warm_solve(a, b)
+    np.testing.assert_array_equal(np.sort(cols), np.arange(n))
+    assert total == cold_total
+    assert np.array_equal(matched, cost[rows, cols])
+
+
+@pytest.mark.parametrize("cloud,value,message", [
+    ("a", np.nan, "matrix contains invalid numeric entries"),
+    ("a", np.inf, "cost matrix is infeasible"),
+    ("a", 1e200, "cost matrix is infeasible"),
+    ("b", -1e200, "cost matrix is infeasible"),
+    # Finite potentials, but a point of b out of every point of a's reach.
+    ("b", 2e154, "cost matrix is infeasible"),
+])
+def test_warm_assignment_of_nonfinite_clouds_fails_as_the_cold_solve(cloud, value, message):
+    rng = np.random.default_rng(5)
+    clouds = {"a": rng.standard_normal((6, 2)), "b": rng.standard_normal((6, 2))}
+    clouds[cloud][3, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mtr.w2_embedded(clouds["a"], clouds["b"], method="assignment")
+
+
+def test_assignment_brute_force_on_criterion_6_instances():
+    """The library's total equals the permutation minimum exactly on criterion 6's draws."""
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(707)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        p = int(rng.integers(1, 4))
+        a = rng.standard_normal((n, p))
+        b = rng.standard_normal((n, p))
+        cost = cdist(a, b, metric="sqeuclidean")
+        brute_total = min(cost[np.arange(n), list(perm)].sum()
+                          for perm in itertools.permutations(range(n)))
+        assert mtr.w2_embedded(a, b, method="assignment").aux["assignment_cost"] == brute_total
 
 
 def test_auto_method_selection():
