@@ -327,9 +327,14 @@ def _cmd_sample(args) -> int:
     entropy = parse_entropy(args.entropy, dim=target.dim)
     schedule = constant_schedule(args.h) if args.h is not None else parse_schedule(args.schedule)
     x0 = parse_numbers(args.x0) if args.x0 else None
+    for flag, value, least in (("--steps", args.steps, 0), ("--burn-in", args.burn_in, 0),
+                               ("--thin", args.thin, 1)):
+        if value < least:
+            raise InvalidParameters(f"{flag} must be at least {least}, got {value}")
     trace = run_parallel_chains(
         entropy, target, schedule, x0, args.steps, args.seed, args.chains,
-        record_every=args.thin, burn_in=args.burn_in, override_gate=args.override_gate,
+        override_gate=args.override_gate,
+        record_steps=range(args.burn_in, args.steps + 1, args.thin),
     )
     with _output(args.out) as fh:
         _write_trace_csv(fh, trace)

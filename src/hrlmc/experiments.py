@@ -490,7 +490,7 @@ def moment_plateau_gaussian(target, h, n_chains, n_steps, burn_in, seed,
     entropy = parse_entropy("euclidean", dim=target.dim)
     trace = run_parallel_chains(
         entropy, target, constant_schedule(h), None, n_steps, seed, n_chains,
-        record_every=record_every, burn_in=burn_in,
+        record_steps=range(burn_in, n_steps + 1, record_every),
     )
     pooled = trace.points.reshape(-1, target.dim)
     mean = pooled.mean(axis=0)

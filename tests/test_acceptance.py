@@ -232,7 +232,7 @@ def test_criterion_11_moment_sanity():
     t = tgt.gamma_target([5.0], [1.0])
     trace = smp.run_parallel_chains(
         e, t, smp.constant_schedule(0.01), [5.0], 3500, base_seed=17,
-        n_chains=100, record_every=1, burn_in=2500,
+        n_chains=100, record_steps=range(2500, 3501),
     )
     pooled = trace.points.ravel()
     mean, var = float(pooled.mean()), float(pooled.var(ddof=1))

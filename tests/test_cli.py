@@ -511,10 +511,18 @@ _CONFIG_0 = _CONFIG.replace("checkpoints = 10,20", "checkpoints = 0,10,20")
     (["bound", "--h", "0.05", "--p", "0"], None, "error: dimension p must be at least 1, got 0"),
     (["bound", "--h", "0.05", "--p", "0", "--eps", "0.01"], None,
      "error: dimension p must be at least 1, got 0"),
+    (_SAMPLE + ["--h", "0.05", "--thin", "0"], None, "error: --thin must be at least 1, got 0"),
+    (_SAMPLE + ["--h", "0.05", "--thin", "-2"], None, "error: --thin must be at least 1, got -2"),
+    (_SAMPLE + ["--h", "0.05", "--burn-in", "-1"], None,
+     "error: --burn-in must be at least 0, got -1"),
+    (_SAMPLE + ["--h", "0.05", "--steps", "-1"], None,
+     "error: --steps must be at least 0, got -1"),
 ], ids=["reference-seeds-0", "assumption-pairs-0", "plateau-window-0", "plateau-window-negative",
         "config-dims-0", "sweep-dims-negative", "check-pairs-0", "sample-x0-3-of-2",
         "sample-x0-2-of-1", "experiment-x0-3-of-1", "sweep-x0-3-of-2",
-        "plateau-window-above-checkpoints", "bound-p-negative", "bound-p-0", "bound-p-0-eps"])
+        "plateau-window-above-checkpoints", "bound-p-negative", "bound-p-0", "bound-p-0-eps",
+        "sample-thin-0", "sample-thin-negative", "sample-burn-in-negative",
+        "sample-steps-negative"])
 def test_out_of_range_input_is_invalid_input(argv, config, err, tmp_path, capsys):
     _assert_invalid_input(argv, config, err, tmp_path, capsys)
 

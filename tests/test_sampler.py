@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -289,7 +290,7 @@ def test_zero_steps_returns_initial_point():
 def test_recording_burn_in_and_thinning():
     e, t = gamma_pair()
     traj = smp.run_parallel_chains(
-        e, t, smp.constant_schedule(0.05), [1.0], 20, 1, 1, record_every=5, burn_in=10
+        e, t, smp.constant_schedule(0.05), [1.0], 20, 1, 1, record_steps=range(10, 21, 5)
     )[0]
     np.testing.assert_array_equal(traj.steps, [10, 15, 20])
     full = smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 20, 1, 1)[0]
@@ -313,12 +314,10 @@ def test_record_steps_give_the_every_step_trace_at_those_steps():
     np.testing.assert_array_equal(part.rejections, full.rejections)
 
 
-@pytest.mark.parametrize("record_steps, options", [
-    ([3, 1], {}), ([1, 1], {}), ([-1, 2], {}), ([0, 31], {}), ([0.0, 2.0], {}),
-    ([0, 10], {"burn_in": 1}), ([0, 10], {"record_every": 2}),
-], ids=["unsorted", "repeated", "negative", "beyond-steps", "floats", "with-burn-in",
-        "with-thinning"])
-def test_record_steps_are_refused_before_any_chain_runs(monkeypatch, record_steps, options):
+@pytest.mark.parametrize("record_steps", [
+    [3, 1], [1, 1], [-1, 2], [0, 31], [0.0, 2.0],
+], ids=["unsorted", "repeated", "negative", "beyond-steps", "floats"])
+def test_record_steps_are_refused_before_any_chain_runs(monkeypatch, record_steps):
     def run(*args):
         raise AssertionError("a chain ran before the refusal")
 
@@ -326,7 +325,38 @@ def test_record_steps_are_refused_before_any_chain_runs(monkeypatch, record_step
     e, t = gamma_pair()
     with pytest.raises(InvalidParameters, match="record_steps"):
         smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 30, 0, 2,
-                                record_steps=record_steps, **options)
+                                record_steps=record_steps)
+
+
+@pytest.mark.parametrize("record_steps, refusal", [
+    (range(0, 10**12 + 1, 10**5), "GiB"), (range(10**7, 0, -1), "sorted and distinct"),
+], ids=["too-many-records", "descending"])
+def test_a_range_is_refused_without_being_listed(monkeypatch, record_steps, refusal):
+    # Listing either range would trace hundreds of MiB before the refusal;
+    # 10**7 + 1 records of 4096 chains need 305 GiB, more than the 64 GiB set here.
+    monkeypatch.setattr("hrlmc.errors._physical_memory", lambda: 64 << 30)
+    e, t = gamma_pair()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameters, match=refusal):
+            smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 10**12, 0, 4096,
+                                    record_steps=record_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("short, listed", [
+    (range(5, 6), [5]), (range(5, 4, -1), [5]), (range(7, 3), []),
+], ids=["one-step", "one-step-descending", "empty"])
+def test_a_short_range_records_as_its_list(short, listed):
+    e, t = ent.burg(2), tgt.gamma_target([5.0, 5.0], [1.0, 1.0])
+    a, b = (smp.run_parallel_chains(e, t, smp.constant_schedule(0.2), [1.0, 1.0], 10, 2, 3,
+                                    record_steps=ks) for ks in (short, listed))
+    for field in ("points", "steps", "step_sizes", "rejections"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.shape == y.shape and x.dtype == y.dtype and np.array_equal(x, y), field
 
 
 def test_chains_share_one_record_buffer():
@@ -334,7 +364,7 @@ def test_chains_share_one_record_buffer():
     # copies of the points or the schedule would multiply that.
     e, t = gamma_pair()
     trace = smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 20, 0, 3,
-                                    record_every=5, burn_in=5)
+                                    record_steps=range(5, 21, 5))
     assert isinstance(trace, smp.Trace)
     assert trace.points.shape == (3, 4, 1) and trace.points.flags.c_contiguous
     assert trace.rejections.shape == (3,) and trace.rejections.dtype == np.int64
