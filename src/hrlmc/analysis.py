@@ -266,6 +266,8 @@ def _commutator_norms(entropy, target, x):
     hf = target.hessian(x)
     inv_d = 1.0 / entropy.hessian_diag(x)
     comm = inv_d[..., :, None] * hf - hf * inv_d[..., None, :]
+    if not comm.any():  # a diagonal Hessian commutes with the diagonal metric
+        return np.zeros(comm.shape[:-2])
     return np.linalg.norm(comm, ord=2, axis=(-2, -1))
 
 
@@ -273,7 +275,7 @@ def _commutator_norms(entropy, target, x):
 class BoundReport:
     """Per-step contraction bound evaluated at a constant step size.
 
-    ``bound_at(k)`` evaluates rho^k * W0 + floor; the floor is the geometric
+    ``bound_at(k)`` evaluates rho^k * ``w0`` + floor; the floor is the geometric
     sum limit of the per-step discretization and bias terms.
     """
 
@@ -294,12 +296,11 @@ class BoundReport:
     w0: float | None = None
     formulas: dict = field(default_factory=lambda: dict(_FORMULAS))
 
-    def bound_at(self, k, w0=None):
-        w0 = self.w0 if w0 is None else w0
-        if w0 is None:
+    def bound_at(self, k):
+        if self.w0 is None:
             raise ValueError("bound_at needs an initial distance W0")
         k = np.asarray(k, dtype=float)
-        return self.rho**k * w0 + self.floor
+        return self.rho**k * self.w0 + self.floor
 
     def to_dict(self):
         d = dict(self.__dict__)

@@ -432,20 +432,19 @@ def boltzmann_shannon(dim: int = 1, proposal_range=(1e-6, 1e3)) -> BoltzmannShan
     return BoltzmannShannonEntropy(dim, proposal_range)
 
 
-def register_table1_entropies(dim: int = 3, mixed_weights=None) -> list[Entropy]:
+def register_table1_entropies(dim: int = 3) -> list[Entropy]:
     """The four entropies with computable mirror maps and declared kappa.
 
     Euclidean (kappa 0), Burg (sqrt 2), the logit barrier (sqrt 2), and the
     mixed family (sqrt(2 / (1 - max a))).  The rows with non-invertible mirror
-    maps or non-diagonal Hessians are deliberately not registered.
+    maps or non-diagonal Hessians are deliberately not registered.  The mixed
+    weights run evenly from 0 to 0.7 over the coordinates.
     """
-    if mixed_weights is None:
-        mixed_weights = np.linspace(0.0, 0.7, max(dim, 1))
     return [
         euclidean(dim),
         burg(dim),
         logit_barrier(dim),
-        mixed(mixed_weights),
+        mixed(np.linspace(0.0, 0.7, max(dim, 1))),
     ]
 
 

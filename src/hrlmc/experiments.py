@@ -23,9 +23,11 @@ derived in one pass.  The second compares the result with the chain cloud.
 The tasks run in workers forked by ``workers.forked``, which flushes, forks,
 and kills and reaps them; a worker that fails to start costs time, not
 output.  They are forked before the chains run, so the first halves run
-while this process runs the chains, and this process joins them as the last
-worker.  Each result returns to its own slot, so the output does not depend
-on the number of workers.
+while this process runs the chains and finishes each checkpoint cloud into
+shared memory.  The workers take task indices from one pipe, and its hang-up,
+once the chains are done, orders those cloud writes before any second half.
+This process then joins them as the last worker.  Each result returns to its
+own slot, so the output does not depend on the number of workers.
 
 Every experiment is a pure function of its config; re-running writes
 byte-identical CSV output (floats serialized with 17 significant digits).
@@ -146,12 +148,13 @@ def _map_distance_tasks(task, n_tasks, prepare, meanwhile):
     ``task`` and ``prepare`` (their clouds and targets do not pickle) and the
     solver modules that ``metrics.resolve_method`` imports.  If any started,
     as many task indices as one pipe holds are written to it, each as its own
-    4-byte write, which is atomic.  A worker runs ``prepare`` on each index it
-    reads, and the ``task`` halves once this process has run ``meanwhile()``
-    and closed a second pipe, ``ready``, which orders what ``meanwhile()``
-    wrote to shared memory before the workers' reads on every platform.  This
-    process then joins as the last worker, on the indices not fed, in order,
-    then on those it reads, so a worker that draws cheap tasks takes more.
+    4-byte write, which is atomic.  This process keeps the pipe's write end
+    open through ``meanwhile()`` and closes it right after: the hang-up orders
+    what ``meanwhile()`` wrote to shared memory before the workers' reads on
+    every platform.  A worker runs ``prepare`` on each index it reads, and the
+    ``task`` halves once it sees the hang-up.  This process then joins as the
+    last worker, on the indices not fed, in order, then on those it reads, so
+    a worker that draws cheap tasks takes more.
 
     Each worker's ``(index, result)`` pairs come back as one pickle, and each
     result goes to its own slot.  A worker's exception is re-raised here with
@@ -160,29 +163,28 @@ def _map_distance_tasks(task, n_tasks, prepare, meanwhile):
     ``meanwhile`` or a task, propagates unchanged.
     """
     indices_r, indices_w = os.pipe()
-    ready_r, ready_w = os.pipe()
     results = [None] * n_tasks
 
     def serve(j, n, out):
         """A worker: one pickle of its pairs, or of its first exception and traceback.
 
-        Its copies of both write ends are closed first, or it would never see
-        EOF.  Once ``ready`` is at EOF, polled after each ``prepare`` and
-        waited for at EOF on the indices, each task runs after its ``prepare``.
+        Its copy of the write end is closed first, or it would never see the
+        hang-up.  POSIX poll reports the hang-up once every write end is
+        closed; Linux and the BSDs report it while indices are still queued,
+        so from then on each task runs right after its ``prepare``.  EOF on
+        the indices, where poll reports none, runs the tasks put off.
         """
         try:
             os.close(indices_w)
-            os.close(ready_w)
-            closed = select.poll()  # nothing is written to ``ready``: it polls readable at EOF
-            closed.register(ready_r, select.POLLIN)
+            hung_up = select.poll()
+            hung_up.register(indices_r, select.POLLHUP)
             prepared, done = [], []
             while index := os.read(indices_r, 4):
                 i = int.from_bytes(index, "little")
                 prepared.append((i, prepare(i)))
-                if closed.poll(0):
+                if hung_up.poll(0):
                     done += [(i, task(i, value)) for i, value in prepared]
                     prepared = []
-            closed.poll()
             done += [(i, task(i, value)) for i, value in prepared]
             payload = pickle.dumps(done)
         except BaseException as exc:
@@ -192,7 +194,6 @@ def _map_distance_tasks(task, n_tasks, prepare, meanwhile):
         out.write(payload)
 
     with (open(indices_r, "rb", 0) as indices_in, open(indices_w, "wb", 0) as indices_out,
-          open(ready_r, "rb", 0), open(ready_w, "wb", 0) as ready_out,
           workers.forked(n_tasks - 1, serve) as started):
         fed = 0
         if any(started):
@@ -203,9 +204,8 @@ def _map_distance_tasks(task, n_tasks, prepare, meanwhile):
                 while fed < n_tasks:
                     os.write(indices_w, fed.to_bytes(4, "little"))
                     fed += 1
-        indices_out.close()
         meanwhile()
-        ready_out.close()
+        indices_out.close()
         for i in range(fed, n_tasks):
             results[i] = task(i, prepare(i))
         while index := indices_in.read(4):
@@ -248,10 +248,10 @@ def _checkpoint_distances(entropy, target, schedule, config, seed, ks, tags, ref
     of seed ``(config.base_seed, tag, ks[j], rep)``, drawn by one Generator
     per process.  The references do not depend on the chains: the distance
     workers, forked before the chains run, draw them and call ``reference``
-    while this process runs the chains and writes the embedded checkpoint
-    clouds to a shared buffer, which they then read.  Each process applies
-    ``comparable`` once to each chain cloud it compares.  Returns the trace
-    and the results stacked to shape ``(len(ks), config.reference_seeds, ...)``.
+    while this process runs the chains and writes ``comparable`` of each
+    checkpoint cloud, of the cloud's shape, to a shared buffer, which every
+    process then reads.  Returns the trace and the results stacked to shape
+    ``(len(ks), config.reference_seeds, ...)``.
     """
     metrics.resolve_method(config.distance_method, config.chains, config.chains, target.dim)
     reps = config.reference_seeds
@@ -275,19 +275,14 @@ def _checkpoint_distances(entropy, target, schedule, config, seed, ks, tags, ref
         trace = run_parallel_chains(entropy, target, schedule, config.x0 or None, config.steps,
                                     seed, config.chains, record_steps=ks)
         for j in range(len(ks)):
-            clouds[j] = metrics.mirror_embed(entropy, trace.points[:, j])
-
-    chain_clouds = {}  # filled in each process, one entry per checkpoint it compares
+            clouds[j] = comparable(metrics.mirror_embed(entropy, trace.points[:, j]))
 
     def prepare(i):
         return reference(*(_reference_cloud(target, entropy, config.chains, rng, state, inc)
                            for state, inc in zip(states[:, i], incs[:, i])))
 
     def task(i, ref):
-        j = i // reps
-        if j not in chain_clouds:
-            chain_clouds[j] = comparable(clouds[j])
-        return pair(chain_clouds[j], ref)
+        return pair(clouds[i // reps], ref)
 
     values = np.array(_map_distance_tasks(task, n_tasks, prepare, run_chains))
     return trace, values.reshape(len(ks), reps, *values.shape[1:])
@@ -346,9 +341,10 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
                                     target.dim)
     if method == "exact-1d":
         def comparable(cloud):  # sorted once, whatever number of clouds it meets
-            return np.sort(cloud[:, 0])
+            return np.sort(cloud, axis=0)
 
-        pair = metrics.w2_sorted
+        def pair(a, b):
+            return metrics.w2_sorted(a[:, 0], b[:, 0])
     else:
         def comparable(cloud):
             return cloud

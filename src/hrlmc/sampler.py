@@ -215,6 +215,14 @@ def _check_record_steps(record_steps, n_steps):
     return steps
 
 
+def _count(record_ks):
+    """The number of ``record_ks``; a range's in integers, as ``len`` of a
+    range of 2**63 or more elements raises ``OverflowError``."""
+    if isinstance(record_ks, range):
+        return max(0, -((record_ks.start - record_ks.stop) // record_ks.step))
+    return len(record_ks)
+
+
 def _check_chain_seed(base_seed, n_chains):
     """Refuse a seed that is not a non-negative integer, or an unkeyable chain count."""
     if not isinstance(base_seed, (int, np.integer)) or base_seed < 0:
@@ -239,8 +247,9 @@ def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_k
 
     n_chains = len(keys)
     p = entropy.dim
-    check_allocation(8 * n_chains * len(record_ks) * p,
-                     f"recording {n_chains} chain(s) x {len(record_ks)} point(s) x {p} "
+    n_records = _count(record_ks)
+    check_allocation(8 * n_chains * n_records * p,
+                     f"recording {n_chains} chain(s) x {n_records} point(s) x {p} "
                      "coordinate(s)", "record fewer points (thin, burn-in) or run fewer chains")
     x0 = np.asarray(entropy.interior_point() if x0 is None else x0, dtype=float)
     if x0.shape not in ((1,), (p,), (n_chains, p)):
@@ -254,8 +263,8 @@ def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_k
     retry = _RetryStreams(retry_keys, p)
     main = _PhiloxRows(keys)
 
-    rec_points = np.empty((n_chains, len(record_ks), p))
-    rec_h = np.zeros(len(record_ks))
+    rec_points = np.empty((n_chains, n_records, p))
+    rec_h = np.zeros(n_records)
     rec_pos = 0
     if record_ks and record_ks[0] == 0:
         rec_points[:, 0, :] = X
@@ -286,7 +295,7 @@ def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_k
                 _retry_rows(entropy, Y, gf, sq, h, ok, y_new, x_new, retry, rejections)
             Y, X = y_new, x_new
             k += 1
-            if rec_pos < len(record_ks) and record_ks[rec_pos] == k:
+            if rec_pos < n_records and record_ks[rec_pos] == k:
                 rec_points[:, rec_pos, :] = X
                 rec_h[rec_pos] = h
                 rec_pos += 1

@@ -306,6 +306,22 @@ def test_declared_constants_reach_only_the_paired_entropy(e, t, monkeypatch):
     assert not [w for w in rep.warnings if w.startswith(declared_warnings)]
 
 
+@pytest.mark.parametrize("e, t", [
+    *_pairings(),
+    pytest.param(ent.burg(2), tgt.gaussian_target(np.array([[2.0, 0.5], [0.5, 1.0]])),
+                 id="burg-non-diagonal-gaussian"),
+])
+def test_sampled_delta_equals_the_svd_of_every_commutator(e, t, monkeypatch):
+    # A commutator of zeros skips the SVD; delta must keep the SVD's bits.
+    stub = tgt.RConstantEstimate("stub", 1.0, 0.0, None)
+    monkeypatch.setattr(ana, "r_constant", lambda *args, **kwargs: stub)
+    x = ana._sampled_pairs(e, t, 300, 3)[0]
+    hf, inv_d = t.hessian(x), 1.0 / e.hessian_diag(x)
+    comm = inv_d[..., :, None] * hf - hf * inv_d[..., None, :]
+    svd = float(np.max(np.linalg.norm(comm, ord=2, axis=(-2, -1))))
+    assert ana.estimate_constants(e, t, n_pairs=300, seed=3).delta_sampled.hex() == svd.hex()
+
+
 # ------------------------------------------------------------ Baillon-Haddad
 
 

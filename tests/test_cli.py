@@ -687,6 +687,19 @@ def test_sample_oversized_record_fails_fast(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sample_steps_past_a_c_size_are_invalid_input(monkeypatch, capsys):
+    # A range of 2**63 steps or more has no len(); its records are counted in
+    # integers, so the allocation guard refuses it instead of an OverflowError.
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 64 << 30)
+    code = run_cli(["sample", "--entropy", "burg", "--target", "gamma:a=5,b=1", "--h", "0.05",
+                    "--steps", str(10**20), "--out", "-"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: recording 1 chain(s) x 100000000000000000001 point(s)")
+    assert captured.err.count("\n") == 1
+
+
 def test_check_oversized_pairs_fail_fast(tmp_path, capsys):
     # Refused by the allocation guard before any draw; numpy's own refusal of
     # a 2**50-pair array would read "Unable to allocate", not this remedy.

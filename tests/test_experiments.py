@@ -456,6 +456,45 @@ def test_worker_runs_each_task_half_right_after_its_prepare_once_ready(two_worke
     assert [task_event - prepare_event for prepare_event, task_event, _ in done] == [1] * 4
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_worker_sees_the_hang_up_while_indices_are_queued(two_workers_within_5s):
+    # The forked worker reads index 0 while meanwhile() runs and holds it until
+    # this process, the last worker, prepares index 1 after the hang-up; this
+    # process holds index 1 until the worker has run task 0 or read another
+    # index.  Indices 2 and 3 are queued all that time, so the worker must run
+    # task 0 after one prepare, before it reads them.
+    here = os.getpid()
+    # Worker holds 0, this process prepares, the worker's prepares, worker ran task 0.
+    shared = np.frombuffer(mmap.mmap(-1, 32))
+
+    def prepare(i):
+        if os.getpid() == here:
+            shared[1] = 1.0
+            while not shared[3] and shared[2] < 2:
+                pass
+        else:
+            shared[2] += 1
+            shared[0] = 1.0
+            while not shared[1]:
+                pass
+        return i
+
+    def meanwhile():
+        while not shared[0]:
+            pass
+
+    def task(i, prepared):
+        if os.getpid() == here:
+            return False, None
+        shared[3] = 1.0
+        return True, shared[2]
+
+    fds = len(os.listdir("/proc/self/fd"))
+    done = exp._map_distance_tasks(task, 4, prepare, meanwhile)
+    assert done[:2] == [(True, 1.0), (False, None)]
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
 def test_worker_left_preparing_when_the_chains_raise_is_reaped(two_workers_within_5s,
                                                                 monkeypatch):
     broke = NumericalBreakdown("the chains broke down")

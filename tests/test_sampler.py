@@ -330,21 +330,30 @@ def test_record_steps_are_refused_before_any_chain_runs(monkeypatch, record_step
 
 @pytest.mark.parametrize("record_steps, refusal", [
     (range(0, 10**12 + 1, 10**5), "GiB"), (range(10**7, 0, -1), "sorted and distinct"),
-], ids=["too-many-records", "descending"])
+    (None, "GiB"), (range(2**63), "GiB"),
+], ids=["too-many-records", "descending", "every-step-past-2**63", "2**63-records"])
 def test_a_range_is_refused_without_being_listed(monkeypatch, record_steps, refusal):
-    # Listing either range would trace hundreds of MiB before the refusal;
+    # Listing any of these ranges would trace hundreds of MiB before the refusal;
     # 10**7 + 1 records of 4096 chains need 305 GiB, more than the 64 GiB set here.
+    # len() of a range of 2**63 steps or more raises OverflowError, so the
+    # guard must count them in integers.
     monkeypatch.setattr("hrlmc.errors._physical_memory", lambda: 64 << 30)
     e, t = gamma_pair()
     tracemalloc.start()
     try:
         with pytest.raises(InvalidParameters, match=refusal):
-            smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 10**12, 0, 4096,
+            smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 10**20, 0, 4096,
                                     record_steps=record_steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_negative_step_count_is_refused():
+    e, t = gamma_pair()
+    with pytest.raises(InvalidParameters, match="n_steps must be at least 0"):
+        smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], -1, 0, 1)
 
 
 @pytest.mark.parametrize("short, listed", [
