@@ -39,7 +39,8 @@ from .errors import (
     parse_numbers,
 )
 from .experiments import ExperimentConfig, _fmt, run_convergence_experiment, run_dimension_sweep
-from .sampler import constant_schedule, parse_schedule, run_parallel_chains
+from .sampler import (check_record_memory, constant_schedule, parse_schedule,
+                      run_parallel_chains)
 from .target import parse_target
 
 _GATE_ERRORS = (InadmissibleStepSize, InadmissibleRegime, StepOutOfWindow, EpsOutOfRange)
@@ -52,6 +53,8 @@ _CSV_ROWS = 4096
 # ~1.4 ms to format (2-vCPU Xeon): a worker taking half of n blocks pays for
 # itself from n ~ 6, and 16 also covers its pipe copies and page faults.
 _FORK_BLOCKS = 16
+# The longest "%.17g" text: a sign, 17 digits, a point and "e-308".
+_H_WIDTH = 24
 
 
 def _is_stdout(path) -> bool:
@@ -228,6 +231,21 @@ def _format_17g(values):
     return words
 
 
+def _prefix_words(n_chains, last_step, h_width):
+    """``_WORD``s per row of the writer's prefix table: ``chain,`` then ``step,h,``."""
+    return -(-(len(str(n_chains - 1)) + len(str(last_step)) + h_width + 3) // 8)
+
+
+def _put_decimal(columns, values):
+    """Write the digits of non-negative int64 ``values`` right-aligned in the uint8 ``columns``.
+
+    Leading zeros stay NUL, which a block's ``translate`` drops; 0 is "0".
+    """
+    powers = 10 ** np.arange(columns.shape[1] - 1, -1, -1, dtype=np.int64)
+    v = values[:, None]
+    columns[:] = (v // powers % 10 + ord("0")) * ((v >= powers) | (powers == 1))
+
+
 def _write_trace_csv(fh, trace):
     """Write the ``chain,step,h,x_1..x_p`` trace, about ``_CSV_ROWS`` values per write.
 
@@ -239,22 +257,38 @@ def _write_trace_csv(fh, trace):
     leaves the text, whose floats are ``format(v, ".17g")`` of every value as
     ``_fmt`` writes them, including ``inf``, ``nan`` and ``-0``.
 
+    Besides the trace, the writer holds its prefix tables, 8 * n_prefix bytes
+    per record and per chain (``_prefix_words``: 2 words for 64 chains of
+    10,001 steps at h = 0.05), and, in each process, one block.
     ``_write_blocks`` writes the blocks in order, whichever process formats
     them, so the bytes do not depend on the number of processes.
     """
     n_chains, n_records, p = trace.points.shape
     fh.write("chain,step,h," + ",".join(f"x_{j + 1}" for j in range(p)) + "\n")
     # One _fmt per distinct step size, told apart by bits: -0.0 == 0.0 as floats.
-    bits, which = np.unique(trace.step_sizes.view(np.uint64), return_inverse=True)
+    bits = np.unique(trace.step_sizes.view(np.uint64))
     h_text = [_fmt(h) for h in bits.view(np.float64).tolist()]
-    steps = [f"{k},{h_text[i]}," for k, i in zip(trace.steps.tolist(), which.tolist())]
-    chains = [f"{c}," for c in range(n_chains)]
-    wc = len(chains[-1])
-    n_prefix = -(-(wc + max(map(len, steps), default=0)) // 8)  # uint64 words per row
+    wh = max(map(len, h_text), default=1)
+    h_cells = np.array(h_text, dtype=f"S{wh}").view(np.uint8).reshape(len(h_text), wh)
+    last_step = int(trace.steps.max()) if n_records else 0
+    n_prefix = _prefix_words(n_chains, last_step, wh)
+    wc, ws = len(str(n_chains - 1)) + 1, len(str(last_step))
     # The chain text in bytes [0, wc) and the step text after it, so a row's
-    # prefix is the OR of the two.
-    text = np.array(chains + ["\0" * wc + s for s in steps], dtype=f"S{8 * n_prefix}")
-    chain_words, step_words = np.split(text.view(_WORD).reshape(-1, n_prefix), [n_chains])
+    # prefix is the OR of the two.  The tables are built _CSV_ROWS rows at a
+    # time, so no digit temporary spans all records.
+    chain_bytes = np.zeros((n_chains, 8 * n_prefix), dtype=np.uint8)
+    chain_bytes[:, wc - 1] = ord(",")
+    for r in range(0, n_chains, _CSV_ROWS):
+        table = chain_bytes[r:r + _CSV_ROWS]
+        _put_decimal(table[:, :wc - 1], np.arange(r, r + len(table)))
+    step_bytes = np.zeros((n_records, 8 * n_prefix), dtype=np.uint8)
+    step_bytes[:, [wc + ws, wc + ws + 1 + wh]] = ord(",")
+    for r in range(0, n_records, _CSV_ROWS):
+        table = step_bytes[r:r + _CSV_ROWS]
+        _put_decimal(table[:, wc:wc + ws], trace.steps[r:r + _CSV_ROWS])
+        which = bits.searchsorted(trace.step_sizes[r:r + _CSV_ROWS].view(np.uint64))
+        table[:, wc + ws + 1:wc + ws + 1 + wh] = h_cells[which]
+    chain_words, step_words = chain_bytes.view(_WORD), step_bytes.view(_WORD)
     separators = np.full(p, ord(","), dtype=np.uint64)
     separators[-1] = ord("\n")
     separators <<= 56  # byte 39 of a cell
@@ -318,9 +352,12 @@ def _cmd_sample(args) -> int:
     A path under a missing directory is refused before the run; the output is
     opened only after the run succeeds, so a gate failure or a numerical
     breakdown leaves no file; one that cannot be written mid-run exits 1.
-    Memory is bounded by the recorded points (8 * chains * records * p bytes)
-    plus, in each writer process, one block of about ``_CSV_ROWS`` values (one
-    row if p is larger), not by the CSV text.
+    Memory is bounded by the records, 8 * chains * p bytes of points, 16 of
+    step and step size and 8 * n_prefix of the writer's prefix table each,
+    plus the chains' working arrays and, in each writer process, one block of
+    about ``_CSV_ROWS`` values (one row if p is larger), not by the CSV text.
+    A run whose records exceed physical memory is refused before any chain
+    runs; the guard counts n_prefix for a step size of ``_H_WIDTH`` characters.
     """
     _check_output(args.out)
     target = parse_target(args.target)
@@ -331,10 +368,13 @@ def _cmd_sample(args) -> int:
                                ("--thin", args.thin, 1)):
         if value < least:
             raise InvalidParameters(f"{flag} must be at least {least}, got {value}")
+    records = range(args.burn_in, args.steps + 1, args.thin)
+    if records:
+        check_record_memory(args.chains, records, entropy.dim,
+                            8 * _prefix_words(args.chains, records[-1], _H_WIDTH))
     trace = run_parallel_chains(
         entropy, target, schedule, x0, args.steps, args.seed, args.chains,
-        override_gate=args.override_gate,
-        record_steps=range(args.burn_in, args.steps + 1, args.thin),
+        override_gate=args.override_gate, record_steps=records,
     )
     with _output(args.out) as fh:
         _write_trace_csv(fh, trace)

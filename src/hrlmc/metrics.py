@@ -71,7 +71,12 @@ def w2_embedded(a, b, method: str = "auto", n_projections: int = DEFAULT_PROJECT
     """``w2phi`` between clouds already pushed through the mirror map (``mirror_embed``).
 
     A cloud compared with many others is embedded once and passed here.
+    Both clouds are checked as ``_cloud`` checks them, and clouds of
+    different dimensions raise ``SizeMismatch``.
     """
+    a, b = _cloud(a), _cloud(b)
+    if a.shape[1] != b.shape[1]:
+        raise SizeMismatch(f"clouds need equal dimensions, got {a.shape[1]} and {b.shape[1]}")
     method = resolve_method(method, a.shape[0], b.shape[0], a.shape[1])
     if method == "exact-1d":
         return _w2_exact_1d(a, b)

@@ -215,12 +215,23 @@ def _check_record_steps(record_steps, n_steps):
     return steps
 
 
-def _count(record_ks):
-    """The number of ``record_ks``; a range's in integers, as ``len`` of a
-    range of 2**63 or more elements raises ``OverflowError``."""
+def check_record_memory(n_chains, record_ks, p, record_bytes=0) -> int:
+    """The number of ``record_ks``, if recording them for ``n_chains`` chains fits in memory.
+
+    A record takes 8 * n_chains * p bytes of points, 16 bytes of its step
+    index and step size, and a caller's ``record_bytes``; a trace whose
+    records alone exceed physical memory is refused.  A range's records are
+    counted in integers, as ``len`` of a range of 2**63 or more elements
+    raises ``OverflowError``.
+    """
     if isinstance(record_ks, range):
-        return max(0, -((record_ks.start - record_ks.stop) // record_ks.step))
-    return len(record_ks)
+        n_records = max(0, -((record_ks.start - record_ks.stop) // record_ks.step))
+    else:
+        n_records = len(record_ks)
+    check_allocation((8 * n_chains * p + 16 + record_bytes) * n_records,
+                     f"recording {n_chains} chain(s) x {n_records} point(s) x {p} "
+                     "coordinate(s)", "record fewer points (thin, burn-in) or run fewer chains")
+    return n_records
 
 
 def _check_chain_seed(base_seed, n_chains):
@@ -247,10 +258,7 @@ def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_k
 
     n_chains = len(keys)
     p = entropy.dim
-    n_records = _count(record_ks)
-    check_allocation(8 * n_chains * n_records * p,
-                     f"recording {n_chains} chain(s) x {n_records} point(s) x {p} "
-                     "coordinate(s)", "record fewer points (thin, burn-in) or run fewer chains")
+    n_records = check_record_memory(n_chains, record_ks, p)
     x0 = np.asarray(entropy.interior_point() if x0 is None else x0, dtype=float)
     if x0.shape not in ((1,), (p,), (n_chains, p)):
         raise InvalidParameters(
@@ -300,8 +308,11 @@ def _run_rows(entropy, target, schedule, x0, n_steps, keys, retry_keys, record_k
                 rec_h[rec_pos] = h
                 rec_pos += 1
 
-    # The points take the 8 * n_chains * n_records * p bytes check_allocation counts.
-    steps = np.array(record_ks, dtype=np.int64)
+    # The points, steps and step sizes take the bytes check_record_memory counts.
+    if isinstance(record_ks, range):
+        steps = np.arange(record_ks.start, record_ks.stop, record_ks.step, dtype=np.int64)
+    else:
+        steps = np.array(record_ks, dtype=np.int64)
     steps.flags.writeable = False
     rec_h.flags.writeable = False
     return Trace(rec_points, steps, rec_h, rejections)

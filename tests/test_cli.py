@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,7 @@ def _recording_run(monkeypatch):
     return seen
 
 
+_BURG = ["--entropy", "burg", "--target", "gamma:a=5,b=1", "--h", "0.05", "--x0", "1.0"]
 _WRITER_CASES = {
     "p2-mixed-burn-thin": [
         "--entropy", "mixed:a=0,0.5", "--target", "gamma:a=5,5;b=1,1", "--h", "0.05",
@@ -86,6 +88,20 @@ _WRITER_CASES = {
         "--entropy", "burg", "--target", "gamma:a=5,b=1", "--h", "0.05",
         "--steps", "50", "--chains", "3", "--burn-in", "10", "--thin", "5", "--x0", "0.5",
     ],
+    # Chain and step numbers that gain a digit, burn-in and thin ranges,
+    # many distinct step sizes with 0.0 at k = 0, and no record at all.
+    "9-chains-steps-to-10": [*_BURG, "--steps", "10", "--chains", "9"],
+    "10-chains-burn-in": [*_BURG, "--steps", "12", "--chains", "10", "--burn-in", "8"],
+    "11-chains-steps-to-100": [*_BURG, "--steps", "100", "--chains", "11", "--burn-in", "97"],
+    "99-chains-burn-thin": [*_BURG, "--steps", "104", "--chains", "99", "--burn-in", "90",
+                            "--thin", "3"],
+    "100-chains-thin": [*_BURG, "--steps", "100", "--chains", "100", "--burn-in", "1",
+                        "--thin", "9"],
+    "harmonic-thin": [
+        "--entropy", "logit", "--target", "beta:a1=4,a2=4", "--schedule", "harmonic:a=0.3",
+        "--steps", "120", "--chains", "3", "--thin", "7", "--x0", "0.5",
+    ],
+    "zero-records": [*_BURG, "--steps", "5", "--chains", "2", "--burn-in", "6"],
 }
 
 
@@ -96,6 +112,25 @@ def test_sample_csv_equals_per_value_loop(case, monkeypatch, tmp_path):
     assert run_cli(["sample", *_WRITER_CASES[case], "--seed", "5", "--out", str(out)]) == 0
     p = seen[0][0].points.shape[1]
     assert out.read_text() == _per_value_csv(seen[0], p)
+
+
+def test_sample_csv_writer_holds_bytes_per_record(monkeypatch):
+    # One chain of 200,000 records: the writer's own peak is its prefix table
+    # (32 bytes a record here) and a block, not an object per record.
+    monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda: 1)
+    n = 200_000
+    step_sizes = np.full(n, 0.05)
+    step_sizes[0] = 0.0
+    trace = Trace(np.linspace(0.5, 2.0, n).reshape(1, n, 1), np.arange(n), step_sizes,
+                  np.zeros(1, dtype=np.int64))
+    with open(os.devnull, "w") as fh:
+        tracemalloc.start()
+        try:
+            cli._write_trace_csv(fh, trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 10 << 20
 
 
 def test_sample_csv_to_stdout(monkeypatch, capsys):
@@ -698,6 +733,22 @@ def test_sample_steps_past_a_c_size_are_invalid_input(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: recording 1 chain(s) x 100000000000000000001 point(s)")
     assert captured.err.count("\n") == 1
+
+
+def test_sample_counts_the_writer_prefix_table_before_any_chain_runs(monkeypatch, tmp_path,
+                                                                     capsys):
+    # 1000 records of one coordinate take 24 kB of points, steps and step
+    # sizes, which fit in 40 kB, and 32 kB more of prefix table: 4 words of
+    # "0," (2 bytes), "999," (4) and a step size of up to 24 characters.
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 40_000)
+    monkeypatch.setattr(cli, "run_parallel_chains", lambda *a, **k: pytest.fail("chains ran"))
+    out = tmp_path / "t.csv"
+    code = run_cli(["sample", "--entropy", "burg", "--target", "gamma:a=5,b=1", "--h", "0.05",
+                    "--steps", "999", "--x0", "1.0", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: recording 1 chain(s) x 1000 point(s) x 1 coordinate(s) needs 0.0 GiB")
+    assert not out.exists()
 
 
 def test_check_oversized_pairs_fail_fast(tmp_path, capsys):

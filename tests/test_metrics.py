@@ -313,3 +313,15 @@ def test_empirical_measure_validation():
     with pytest.raises(ValueError):
         mtr.mirror_embed(ent.euclidean(2), np.zeros((0, 2)))
     assert mtr.mirror_embed(ent.euclidean(1), [1.0, 2.0, 3.0]).shape == (3, 1)
+
+
+@pytest.mark.parametrize("method", ["auto", "exact-1d", "assignment", "sliced"])
+@pytest.mark.parametrize("dims", [(1, 2), (2, 1)], ids=["1-vs-2", "2-vs-1"])
+def test_embedded_clouds_of_different_dimensions_are_refused(dims, method):
+    # Resolved from the first cloud alone, (5, 1) against (5, 2) read 0.0
+    # through exact-1d and the reverse raised scipy's ValueError.
+    a, b = (np.arange(5.0 * d).reshape(5, d) for d in dims)
+    with pytest.raises(SizeMismatch, match=f"equal dimensions, got {dims[0]} and {dims[1]}"):
+        mtr.w2_embedded(a, b, method=method)
+    with pytest.raises(ValueError, match="nonempty"):
+        mtr.w2_embedded(a, np.zeros((0, dims[0])), method=method)

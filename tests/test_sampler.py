@@ -350,6 +350,15 @@ def test_a_range_is_refused_without_being_listed(monkeypatch, record_steps, refu
     assert peak < 1 << 20
 
 
+def test_the_record_guard_counts_steps_and_step_sizes(monkeypatch):
+    # 1000 records of one chain take 8 kB of points and 16 kB of steps and
+    # step sizes: 20 kB holds the points but not the trace.
+    monkeypatch.setattr("hrlmc.errors._physical_memory", lambda: 20_000)
+    e, t = gamma_pair()
+    with pytest.raises(InvalidParameters, match=r"^recording 1 chain\(s\) x 1000 point\(s\)"):
+        smp.run_parallel_chains(e, t, smp.constant_schedule(0.05), [1.0], 999, 0, 1)
+
+
 def test_a_negative_step_count_is_refused():
     e, t = gamma_pair()
     with pytest.raises(InvalidParameters, match="n_steps must be at least 0"):
