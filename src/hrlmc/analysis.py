@@ -27,7 +27,9 @@ that magnitude.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -71,6 +73,13 @@ def admissible_step_window(m: float, M: float, kt: float) -> float:
     return min((2.0 * m - kt * kt) / (m * m), (2.0 * M - kt * kt) / (M * M))
 
 
+def _derived_constants(kappa: float, m: float, M: float, delta: float) -> dict:
+    """A report's ``kappa_tilde``, ``admissible`` and ``k1``, from its kappa, m, M and delta."""
+    kt = kappa_tilde(kappa, m, M, delta)
+    return {"kappa_tilde": float(kt), "admissible": bool(m > 0.0 and kt < math.sqrt(2.0 * m)),
+            "k1": float(M + kappa)}
+
+
 def contraction_factor(h: float, m: float, M: float, kt: float) -> float:
     lo = math.sqrt((1.0 - m * h) ** 2 + h * kt * kt)
     hi = math.sqrt((1.0 - M * h) ** 2 + h * kt * kt)
@@ -103,6 +112,25 @@ _FORMULAS = {
     "k_eps_classical": "p*M^2 / (m^3 * eps^2) * log(1/eps)",
     "K1": "M + kappa",
 }
+
+# How ``AssumptionReport.from_dict`` names each field type in its refusals.
+_TYPE_TEXT = {float: "a number that a float holds, not NaN", int: "an integer", str: "a string",
+              bool: "true or false", list: "a list", type(None): "null"}
+
+
+def _is_number(value) -> bool:
+    """A JSON int or float, not a bool, that a float holds and that is not NaN; inf is one."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
+            and (isinstance(value, float) or abs(value) <= sys.float_info.max))
+
+
+def _has_type(value, kind) -> bool:
+    """Whether a JSON value is of the field type ``kind``, one of ``_TYPE_TEXT`` or a union."""
+    if kind is float:
+        return _is_number(value)
+    if kind in _TYPE_TEXT:
+        return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    return any(_has_type(value, option) for option in kind.__args__)
 
 
 @dataclass
@@ -147,19 +175,46 @@ class AssumptionReport:
 
     @classmethod
     def from_dict(cls, d):
-        """The report ``to_dict`` wrote; missing or unknown keys raise InvalidParameters."""
+        """The report ``to_dict`` wrote, or InvalidParameters naming what is wrong with ``d``.
+
+        Refused: missing or unknown keys; a value not of its field's type (a
+        number is as ``_is_number`` takes it, so Boltzmann-Shannon's inf kappa
+        is one, and is kept as a float); a negative kappa, delta, r_value or
+        r_error; m above M; and kappa_tilde, admissible or k1 other than their
+        values recomputed from kappa, m, M and delta.
+        """
         if not isinstance(d, dict):
             raise InvalidParameters("a report must be a JSON object")
         d = dict(d)
         d.pop("formulas", None)
-        names = {f.name for f in fields(cls)}
+        types = get_type_hints(cls)
         required = {f.name for f in fields(cls)
                     if f.default is MISSING and f.default_factory is MISSING}
         problems = [f"{what} keys {sorted(keys)}" for what, keys in
-                    (("missing", required - set(d)), ("unknown", set(d) - names)) if keys]
+                    (("missing", required - set(d)), ("unknown", set(d) - set(types))) if keys]
         if problems:
             raise InvalidParameters("report has " + " and ".join(problems))
-        return cls(**d)
+        for name, value in d.items():
+            kind = types[name]
+            if not _has_type(value, kind):
+                text = " or ".join(_TYPE_TEXT[k] for k in getattr(kind, "__args__", (kind,)))
+                raise InvalidParameters(f"report field {name!r} must be {text}, got {value!r}")
+            if kind is not int and _is_number(value):
+                d[name] = float(value)
+        report = cls(**d)
+        for name in ("kappa", "delta", "r_value", "r_error"):
+            if getattr(report, name) < 0.0:
+                raise InvalidParameters(f"report field {name!r} must be at least 0, "
+                                        f"got {getattr(report, name)!r}")
+        if report.m > report.M:
+            raise InvalidParameters(f"report field 'm' must be at most M = {report.M!r}, "
+                                    f"got {report.m!r}")
+        for name, value in _derived_constants(report.kappa, report.m, report.M,
+                                              report.delta).items():
+            if getattr(report, name) != value:
+                raise InvalidParameters(f"report field {name!r} is {getattr(report, name)!r}, "
+                                        f"but kappa, m, M and delta give {value!r}")
+        return report
 
 
 def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
@@ -215,7 +270,6 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
     if delta_dec is not None and delta_hat > delta_dec + max(0.01 * delta_dec, 1e-9):
         warnings.append(f"sampled delta {delta_hat:.6g} exceeds declared {delta_dec:.6g}")
 
-    kt = kappa_tilde(kappa_eff, m_eff, M_eff, delta_eff)
     return AssumptionReport(
         entropy=entropy.name,
         target=target.name,
@@ -237,9 +291,7 @@ def estimate_constants(entropy, target, n_pairs: int = 10_000, seed: int = 0,
         m=float(m_eff),
         M=float(M_eff),
         delta=float(delta_eff),
-        kappa_tilde=float(kt),
-        admissible=bool(m_eff > 0.0 and kt < math.sqrt(2.0 * m_eff)),
-        k1=float(M_eff + kappa_eff),
+        **_derived_constants(kappa_eff, m_eff, M_eff, delta_eff),
         n_degenerate=n_degenerate,
         warnings=warnings,
     )

@@ -47,6 +47,10 @@ _GATE_ERRORS = (InadmissibleStepSize, InadmissibleRegime, StepOutOfWindow, EpsOu
 _BREAKDOWN_ERRORS = (NumericalBreakdown, Divergent)
 # Rows per block of a one-coordinate trace; a p-coordinate block holds
 # max(1, _CSV_ROWS // p) rows, so every block formats about _CSV_ROWS values.
+# Not 16384: there a block's ~40 numpy temporaries are 128 KiB each, exactly
+# glibc's default mmap threshold, so each is mapped and page-faulted afresh,
+# and _format_17g took 120-133 ms per 640k values against 68 ms with that
+# threshold raised to 4 MiB (2-vCPU Xeon).
 _CSV_ROWS = 4096
 # Blocks per forked writer process.  At the ~40 MiB RSS of a sample call a
 # fork takes ~2.6 ms to reach the child and ~4 ms with the reap, and a block

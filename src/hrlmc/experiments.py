@@ -4,9 +4,10 @@ Checkpoint distance protocol: at each checkpoint pool one recorded point per
 chain into a cloud of size n_chains, compare it against an equal-size
 exact-sample cloud, and repeat over ``reference_seeds`` independent reference
 clouds; report the median and interquartile range.  ``distance_method``
-picks the estimator, and ``metrics.resolve_method`` checks it before any chain
-runs: ``auto`` is the sort coupling in 1-d, an exact assignment for p > 1 up
-to ``metrics.AUTO_ASSIGNMENT_MAX`` (512) chains, and the sliced estimator above.
+picks the estimator, and ``_checkpoint_distances`` resolves it with
+``metrics.resolve_method`` before any chain runs: ``auto`` is the sort
+coupling in 1-d, an exact assignment for p > 1 up to
+``metrics.AUTO_ASSIGNMENT_MAX`` (512) chains, and the sliced estimator above.
 
 Plateau estimation for the sweep subtracts a same-law baseline: the squared
 distance between two independent exact clouds of the same size measures the
@@ -14,12 +15,14 @@ finite-sample floor of the estimator, which grows with dimension and would
 otherwise masquerade as sampler bias.  The debiased plateau is
 sqrt(max(median d^2(chain, exact) - median d^2(exact, exact'), 0)).
 
-Both experiments share one path (``_checkpoint_distances``): one distance
-task per (checkpoint, reference seed) pair; the tasks are independent and
-pure.  Each task has two halves.  The first does all that does not depend on
-the chains: it draws and embeds the reference clouds, and sorts them for
-exact-1d or solves the sweep's same-law baseline, from generator states
-derived in one pass.  The second compares the result with the chain cloud.
+Both experiments share one path (``_checkpoint_distances``), which returns
+the distances that each experiment only reduces: one distance task per
+(checkpoint, reference seed) pair; the tasks are independent and pure.  Each
+task has two halves.  The first does all that does not depend on the chains:
+it draws and embeds the reference clouds, from generator states derived in
+one pass, sorts them for exact-1d and measures the sweep's same-law
+baseline.  The second compares the reference with the chain cloud.  Both
+experiments sort each cloud once, where it is made.
 The tasks run in workers forked by ``workers.forked``, which flushes, forks,
 and kills and reaps them; a worker that fails to start costs time, not
 output.  They are forked before the chains run, so the first halves run
@@ -228,32 +231,50 @@ def _map_distance_tasks(task, n_tasks, prepare, meanwhile):
 def _checkpoint_steps(config):
     """The distinct checkpoints of ``config``, sorted; each must lie in [0, ``steps``].
 
-    Both experiments check them here, before any constant is estimated or any
-    chain runs.
+    Both experiments check them here, as Python ints and before any constant
+    is estimated or any chain runs; one of 2**63 or more is refused too, as
+    no int64 holds it.
     """
-    ks = np.unique(np.asarray(config.checkpoints, dtype=int))
-    if ks.size and (ks[0] < 0 or ks[-1] > config.steps):
-        raise InvalidParameters(f"checkpoints must lie in [0, {config.steps}], "
-                                f"got {ks[0] if ks[0] < 0 else ks[-1]}")
-    return ks
+    ks = config.checkpoints
+    last = min(config.steps, 2**63 - 1)
+    if ks and (min(ks) < 0 or max(ks) > last):
+        raise InvalidParameters(f"checkpoints must lie in [0, {last}], "
+                                f"got {min(ks) if min(ks) < 0 else max(ks)}")
+    return np.unique(np.asarray(ks, dtype=int))
 
 
-def _checkpoint_distances(entropy, target, schedule, config, seed, ks, tags, reference,
-                          comparable, pair):
-    """Run the configured chains from ``seed`` and map the distance tasks over their clouds.
+def _checkpoint_distances(entropy, target, schedule, config, seed, ks, tags):
+    """Run the configured chains from ``seed`` and measure W2phi at each checkpoint.
 
-    Task (j, rep) is ``pair(comparable(cloud), reference(*refs))``, where
-    ``cloud`` is the chain cloud recorded at step ``ks[j]``, pushed through
-    the mirror map, and ``refs`` holds, per tag, the embedded exact sample
-    of seed ``(config.base_seed, tag, ks[j], rep)``, drawn by one Generator
-    per process.  The references do not depend on the chains: the distance
-    workers, forked before the chains run, draw them and call ``reference``
-    while this process runs the chains and writes ``comparable`` of each
-    checkpoint cloud, of the cloud's shape, to a shared buffer, which every
-    process then reads.  Returns the trace and the results stacked to shape
-    ``(len(ks), config.reference_seeds, ...)``.
+    The estimator is ``config.distance_method``, resolved here once.  Task
+    (j, rep) compares the chain cloud recorded at step ``ks[j]`` with the
+    reference cloud of tag ``tags[0]``: the embedded exact sample of seed
+    ``(config.base_seed, tag, ks[j], rep)``, drawn by one Generator per
+    process.  A further pair of tags gives two more such clouds, whose
+    distance is the same-law baseline.  The references do not depend on the
+    chains: the distance workers, forked before the chains run, draw them
+    and measure the baseline while this process runs the chains and writes
+    each checkpoint cloud, pushed through the mirror map, to a shared buffer
+    that every process then reads.  For exact-1d every cloud is sorted once,
+    where it is made, and compared by ``metrics.w2_sorted``; the other
+    estimators run through ``metrics.w2_embedded``.  Returns the trace and
+    the distances of shape ``(1 or 2, len(ks), config.reference_seeds)``:
+    to the reference, then the baseline.
     """
-    metrics.resolve_method(config.distance_method, config.chains, config.chains, target.dim)
+    method = metrics.resolve_method(config.distance_method, config.chains, config.chains,
+                                    target.dim)
+    if method == "exact-1d":
+        def comparable(cloud):
+            return np.sort(cloud, axis=0)
+
+        def pair(a, b):
+            return metrics.w2_sorted(a[:, 0], b[:, 0])
+    else:
+        def comparable(cloud):
+            return cloud
+
+        def pair(a, b):
+            return metrics.w2_embedded(a, b, method=method).value
     reps = config.reference_seeds
     n_tasks = len(ks) * reps
     shape = (len(ks), config.chains, target.dim)
@@ -278,14 +299,16 @@ def _checkpoint_distances(entropy, target, schedule, config, seed, ks, tags, ref
             clouds[j] = comparable(metrics.mirror_embed(entropy, trace.points[:, j]))
 
     def prepare(i):
-        return reference(*(_reference_cloud(target, entropy, config.chains, rng, state, inc)
-                           for state, inc in zip(states[:, i], incs[:, i])))
+        ref, *same_law = [comparable(_reference_cloud(target, entropy, config.chains, rng, *s))
+                          for s in zip(states[:, i], incs[:, i])]
+        return ref, [pair(*same_law)] if same_law else []
 
-    def task(i, ref):
-        return pair(clouds[i // reps], ref)
+    def task(i, prepared):
+        ref, baseline = prepared
+        return [pair(clouds[i // reps], ref), *baseline]
 
     values = np.array(_map_distance_tasks(task, n_tasks, prepare, run_chains))
-    return trace, values.reshape(len(ks), reps, *values.shape[1:])
+    return trace, values.T.reshape(-1, len(ks), reps)
 
 
 @dataclass
@@ -337,23 +360,8 @@ def run_convergence_experiment(config: ExperimentConfig) -> ConvergenceResult:
     )
     bound = bound_report(report, schedule.h, target.dim) if schedule.kind == "constant" else None
 
-    method = metrics.resolve_method(config.distance_method, config.chains, config.chains,
-                                    target.dim)
-    if method == "exact-1d":
-        def comparable(cloud):  # sorted once, whatever number of clouds it meets
-            return np.sort(cloud, axis=0)
-
-        def pair(a, b):
-            return metrics.w2_sorted(a[:, 0], b[:, 0])
-    else:
-        def comparable(cloud):
-            return cloud
-
-        def pair(a, b):
-            return metrics.w2_embedded(a, b, method=method).value
-
-    trace, d = _checkpoint_distances(entropy, target, schedule, config, config.base_seed,
-                                     ks, (7733,), comparable, comparable, pair)
+    trace, (d,) = _checkpoint_distances(entropy, target, schedule, config, config.base_seed,
+                                        ks, (7733,))
     medians = np.median(d, axis=1)
     iqrs = np.percentile(d, 75, axis=1) - np.percentile(d, 25, axis=1)
     w0_hat = float(medians[ks == 0][0])
@@ -436,25 +444,15 @@ def run_dimension_sweep(config: ExperimentConfig, dims=None) -> SweepResult:
     for i, p in enumerate(dims):
         target = gamma_target(np.repeat(template.a, p), np.repeat(template.b, p))
         entropy = parse_entropy(config.entropy, dim=p)
-
-        def reference(ref, ref_b, ref_c):
-            """The reference cloud and the same-law baseline d0**2."""
-            d0 = metrics.w2_embedded(ref_b, ref_c, method=config.distance_method)
-            return ref, d0.value**2
-
-        def squared_distances(cloud, prepared):
-            ref, base = prepared
-            d = metrics.w2_embedded(cloud, ref, method=config.distance_method)
-            return d.value**2, base
-
-        _, sq = _checkpoint_distances(entropy, target, schedule, config,
-                                      config.base_seed + 101 * p, plateau_ks,
-                                      (7741 + p, 8641 + p, 8647 + p), reference,
-                                      lambda cloud: cloud, squared_distances)
+        _, d = _checkpoint_distances(entropy, target, schedule, config,
+                                     config.base_seed + 101 * p, plateau_ks,
+                                     (7741 + p, 8641 + p, 8647 + p))
+        # Squared as CPython squares a float: np.square rounds some doubles otherwise.
+        sq = np.reshape([v**2 for v in d.ravel().tolist()], d.shape)
         # Median of per-checkpoint medians: a chain ensemble occasionally
         # carries a deep-tail excursion that inflates every distance sharing
         # that snapshot, so checkpoints form contamination blocks.
-        raw, base = np.median(np.median(sq, axis=1), axis=0)
+        raw, base = np.median(np.median(sq, axis=2), axis=1)
         plateaus[i] = np.sqrt(max(raw - base, 0.0))
         raws[i] = np.sqrt(raw)
         bases[i] = np.sqrt(base)

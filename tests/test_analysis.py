@@ -225,6 +225,49 @@ def test_report_from_dict_names_missing_and_unknown_keys():
         ana.AssumptionReport.from_dict([])
 
 
+@pytest.mark.parametrize("key, value, refusal", [
+    ("m", "abc", r"'m' must be a number that a float holds, not NaN, got 'abc'$"),
+    ("m", None, r"'m' must be a number that a float holds, not NaN, got None$"),
+    ("m", math.nan, r"'m' must be a number that a float holds, not NaN, got nan$"),
+    ("m", True, r"'m' must be a number that a float holds, not NaN, got True$"),
+    ("m", 10**400, r"'m' must be a number that a float holds, not NaN, got 1000"),
+    ("m_declared", "abc", r"'m_declared' must be a number that a float holds, not NaN or null"),
+    ("n_pairs", 50.0, r"'n_pairs' must be an integer, got 50\.0$"),
+    ("admissible", 1, r"'admissible' must be true or false, got 1$"),
+    ("entropy", 3, r"'entropy' must be a string, got 3$"),
+    ("warnings", "none", r"'warnings' must be a list, got 'none'$"),
+    ("kappa", -1, r"'kappa' must be at least 0, got -1\.0$"),
+    ("delta", -1, r"'delta' must be at least 0, got -1\.0$"),
+    ("r_value", -1, r"'r_value' must be at least 0, got -1\.0$"),
+    ("r_error", -1e-9, r"'r_error' must be at least 0, got -1e-09$"),
+    ("m", 5.0, r"'m' must be at most M = 4\.0, got 5\.0$"),
+    ("kappa_tilde", -1, r"'kappa_tilde' is -1\.0, but kappa, m, M and delta give 1\.414"),
+    ("admissible", False, r"'admissible' is False, but kappa, m, M and delta give True$"),
+    ("k1", 0.0, r"'k1' is 0\.0, but kappa, m, M and delta give 5\.414"),
+], ids=["str", "null", "nan", "bool", "past-float", "str-or-null", "float-count",
+        "int-flag", "int-name", "str-list", "kappa-negative", "delta-negative",
+        "r-value-negative", "r-error-negative", "m-above-M", "kappa-tilde-stale",
+        "admissible-stale", "k1-stale"])
+def test_report_from_dict_refuses_malformed_fields(key, value, refusal):
+    # Burg / Gamma(5, 1) declares kappa = sqrt(2), m = 1/5 and M = 4.
+    saved = ana.estimate_constants(ent.burg(1), tgt.gamma_target([5.0], [1.0]),
+                                   n_pairs=50).to_dict()
+    with pytest.raises(InvalidParameters, match=r"^report field " + refusal):
+        ana.AssumptionReport.from_dict({**saved, key: value})
+
+
+def test_report_from_dict_takes_inf_and_ints_as_numbers():
+    # Boltzmann-Shannon declares no finite kappa, so its report carries inf;
+    # an integral number may be written as a JSON int and is read as a float.
+    gamma = tgt.gamma_target([5.0], [1.0])
+    rep = ana.estimate_constants(ent.boltzmann_shannon(1), gamma, n_pairs=50)
+    assert rep.kappa == rep.kappa_tilde == rep.k1 == math.inf
+    assert ana.AssumptionReport.from_dict(rep.to_dict()) == rep
+    rep = ana.estimate_constants(ent.burg(1), gamma, n_pairs=50)
+    clone = ana.AssumptionReport.from_dict({**rep.to_dict(), "M": 4})
+    assert clone == rep and type(clone.M) is float
+
+
 @pytest.mark.parametrize("n_pairs", [0, -1])
 def test_estimate_constants_needs_a_pair(n_pairs):
     for estimate in (ana.estimate_constants, ana.check_baillon_haddad):

@@ -876,6 +876,26 @@ def test_check_then_bound_round_trip(tmp_path):
     assert "formulas" in bound
 
 
+def test_bound_refuses_a_malformed_report(tmp_path, capsys):
+    # A field of the wrong type, once a TypeError traceback, is one error line.
+    report_path = tmp_path / "report.json"
+    assert run_cli([
+        "check", "--entropy", "burg", "--target", "gamma:a=5,b=1",
+        "--pairs", "200", "--out", str(report_path),
+    ]) == 0
+    report_path.write_text(json.dumps({**json.loads(report_path.read_text()), "m": "abc"}))
+    capsys.readouterr()
+    code = run_cli([
+        "bound", "--report", str(report_path), "--h", "0.05", "--p", "1",
+        "--out", str(tmp_path / "b.json"),
+    ])
+    assert code == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: report field 'm' must be a number")
+    assert stderr.count("\n") == 1 and "Traceback" not in stderr
+    assert not (tmp_path / "b.json").exists()
+
+
 def test_bound_step_out_of_window_exit_code(tmp_path):
     report_path = tmp_path / "report.json"
     run_cli([

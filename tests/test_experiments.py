@@ -575,6 +575,28 @@ def test_convergence_sorts_each_cloud_once(monkeypatch):
     assert sorted_sizes.count(64) == n_checkpoints * cfg.reference_seeds + n_checkpoints
 
 
+def test_sweep_sorts_each_cloud_once(monkeypatch):
+    # At p = 1 (exact-1d) each of the 3 x 5 tasks sorts its reference cloud and
+    # its two same-law clouds, and each of the 3 checkpoint clouds is sorted
+    # once in this process: 48 sorts, not a sort of the checkpoint cloud per task.
+    monkeypatch.setattr("hrlmc.workers.usable_cpus", lambda: 1)
+    cfg = exp.ExperimentConfig(
+        entropy="burg", target="gamma:a=5;b=1", schedule="constant:h=0.2",
+        steps=40, chains=64, x0=(1.0,), checkpoints=(10, 20, 30, 40),
+        base_seed=3, reference_seeds=5, plateau_window=3,
+    )
+    sorted_sizes = []
+    sort = np.sort
+
+    def counted(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counted)
+    exp.run_dimension_sweep(cfg, dims=[1])
+    assert sorted_sizes.count(64) == 48
+
+
 # The criterion-7 checkpoints, 0 among them.
 _CONVERGE_KS = np.array([*range(0, 21, 2), *range(30, 201, 10)])
 
@@ -645,8 +667,13 @@ def test_no_generator_per_reference_cloud(monkeypatch, run, overrides):
     (exp.run_convergence_experiment, dict(checkpoints=(0, 10, 70)), InvalidParameters),
     (lambda cfg: exp.run_dimension_sweep(cfg, dims=(1, 2)), dict(checkpoints=(10, 40, 70)),
      InvalidParameters),
+    (exp.run_convergence_experiment, dict(steps=2**64, checkpoints=(0, 2**63)),
+     InvalidParameters),
+    (lambda cfg: exp.run_dimension_sweep(cfg, dims=(1, 2)), dict(checkpoints=(10, 2**63)),
+     InvalidParameters),
 ], ids=["experiment-foo", "sweep-exact-1d-p2", "experiment-inadmissible-regime",
-        "experiment-checkpoint-past-steps", "sweep-checkpoint-past-steps"])
+        "experiment-checkpoint-past-steps", "sweep-checkpoint-past-steps",
+        "experiment-checkpoint-past-2**63", "sweep-checkpoint-past-2**63"])
 def test_distance_method_is_checked_before_any_chain_runs(monkeypatch, run, overrides, error):
     def no_chains(*args, **kwargs):
         raise AssertionError("chains ran before the distance method was checked")
